@@ -3,7 +3,7 @@ BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
 # bench-gate baseline: newest committed snapshot unless overridden.
 BASE ?= $(shell ls BENCH_*.json 2>/dev/null | sort | tail -1)
 
-.PHONY: build test vet race race-sharded fuzz-smoke bench bench-compare bench-gate obs-overhead metrics-lint drift-smoke sweep-smoke check golden-update
+.PHONY: build test vet race race-sharded fuzz-smoke bench bench-compare bench-gate obs-overhead metrics-lint drift-smoke sweep-smoke perfbench-test check golden-update
 
 build:
 	$(GO) build ./...
@@ -123,12 +123,19 @@ sweep-smoke:
 	$(GO) run ./cmd/sweep -spec cmd/sweep/testdata/smoke.json -out $(SWEEP_SMOKE_OUT) -check
 	@rm -f $(SWEEP_SMOKE_OUT)
 
+# The benchmark's own tests: percentile choice, span self time, the digest
+# check, the decorators and a tiny-size smoke run of every workload.
+# perfbench/ is its own module, so `make test` never reaches it; this runs
+# it with perfbench/run.sh's offline toolchain settings.
+perfbench-test:
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off GOENV=off $(GO) test ./...
+
 # CI entry point: vet + full tests (includes the cosim protocol and
 # bit-exact daemon-equivalence suites) + sharded-equivalence race gate +
 # full race detector sweep + protocol fuzz smoke + observability
 # overhead gate + /metrics exposition lint + drift-detection smoke +
-# sweep-orchestrator restart smoke.
-check: vet test race-sharded race fuzz-smoke obs-overhead metrics-lint drift-smoke sweep-smoke
+# sweep-orchestrator restart smoke + the benchmark's own tests.
+check: vet test race-sharded race fuzz-smoke obs-overhead metrics-lint drift-smoke sweep-smoke perfbench-test
 
 # Regenerate the cmd/experiments golden snapshots after an intentional
 # output change (review the diff before committing).

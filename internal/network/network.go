@@ -133,18 +133,24 @@ type Network struct {
 	now int64 // current base tick, set by the engine each tick
 }
 
-// New builds the fabric for a topology with the given router configuration
-// template (Ports/LocalPorts are derived from the topology). Inter-router
-// links deliver within the sending cycle; use SetLinkTicks for a wire
-// latency.
-func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Sink, hop HopObserver) *Network {
-	cfg := router.Config{
+// RouterConfig is the router configuration New builds for topo: ports and
+// local ports come from the topology, the rest from the arguments.
+func RouterConfig(topo topology.Topology, vcs, depth, pipeline int) router.Config {
+	return router.Config{
 		Ports:      topo.PortsPerRouter(),
 		LocalPorts: topo.Concentration(),
 		VCs:        vcs,
 		Depth:      depth,
 		Pipeline:   pipeline,
 	}
+}
+
+// New builds the fabric for a topology with the given router configuration
+// template (Ports/LocalPorts are derived from the topology). Inter-router
+// links deliver within the sending cycle; use SetLinkTicks for a wire
+// latency.
+func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Sink, hop HopObserver) *Network {
+	cfg := RouterConfig(topo, vcs, depth, pipeline)
 	n := &Network{
 		Topo:        topo,
 		pv:          pv,

@@ -63,7 +63,7 @@ func TestOccupancyAggregateProperty(t *testing.T) {
 				outPort := rng.Intn(cfg.Ports) // port 0 is local: an ejecting packet
 				fs := flit.Flits(flit.New(id, 0, 1, kind, 0))
 				id++
-				if cfg.Depth-len(r.in[inPort][vc].q) < len(fs) {
+				if cfg.Depth-len(r.in[inPort*cfg.VCs+vc].q) < len(fs) {
 					continue
 				}
 				for _, f := range fs {

@@ -1,6 +1,7 @@
 // Package router implements the cycle-level router microarchitecture: an
 // input-buffered wormhole router with virtual channels (VCs), credit-based
-// flow control, round-robin switch allocation, and look-ahead routing.
+// flow control, round-robin switch allocation over per-output request
+// bitmasks, and look-ahead routing.
 //
 // Look-ahead routing (§III-A) means every flit arrives already carrying the
 // output port it must take at this router (computed by the upstream router
@@ -16,9 +17,14 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/flit"
 )
+
+// MaxInputVCs bounds Ports×VCs: switch allocation keeps one request bit
+// per input VC in a uint64 per output port.
+const MaxInputVCs = 64
 
 // Config sizes a router.
 type Config struct {
@@ -42,6 +48,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: ports must be local+4, got %d with %d local", c.Ports, c.LocalPorts)
 	case c.VCs < 2 || c.VCs%2 != 0:
 		return fmt.Errorf("router: VCs must be even and >= 2, got %d", c.VCs)
+	case c.Ports*c.VCs > MaxInputVCs:
+		return fmt.Errorf("router: %d ports x %d VCs exceeds %d input VCs", c.Ports, c.VCs, MaxInputVCs)
 	case c.Depth < 1:
 		return fmt.Errorf("router: VC depth must be >= 1, got %d", c.Depth)
 	case c.Pipeline < 1:
@@ -87,48 +95,41 @@ type Env interface {
 	FlitMoved(r *Router, f *flit.Flit)
 }
 
-// vcState is one input virtual channel: a FIFO of flits plus the routing
-// state of the packet currently at its front.
+// vcState is one input virtual channel: a fixed-capacity FIFO of flits
+// plus the routing state of the packet currently at its front.
 type vcState struct {
+	// q holds the buffered flits, front first. Its backing array is a
+	// Depth-slot window of the slab's flit plane, so pushes and pops never
+	// allocate.
 	q []*flit.Flit
 
-	routed  bool // front packet's route latched
-	outPort int  // latched output port of the front packet
-	outVC   int  // allocated downstream VC, -1 until VC allocation
+	outPort int32 // latched output port of the front packet
+	outVC   int32 // allocated downstream VC, -1 until VC allocation
 }
 
-func (v *vcState) empty() bool { return len(v.q) == 0 }
-func (v *vcState) front() *flit.Flit {
-	if len(v.q) == 0 {
-		return nil
-	}
-	return v.q[0]
-}
-
-func (v *vcState) pop() *flit.Flit {
-	f := v.q[0]
-	v.q[0] = nil
-	v.q = v.q[1:]
-	if len(v.q) == 0 {
-		v.q = nil // let the backing array go once drained
-	}
-	return f
+// pop removes the front flit, shifting the rest down within the fixed
+// window (at most Depth-1 pointers).
+func (v *vcState) pop() {
+	n := copy(v.q, v.q[1:])
+	v.q[n] = nil
+	v.q = v.q[:n]
 }
 
 // Router is one router instance. It owns no clocking or power state; the
 // simulation engine drives Cycle on the router's local clock and gates it
 // with the power-management state machine.
 //
-// The hot scalar state — occupancy aggregate, local cycle counter,
-// per-port pending counts, credits and downstream-VC claims — lives in a
-// shared Slab (see slab.go); the fields below are views into that slab's
-// flat arrays so the engine's sweeps walk contiguous memory. The public
-// accessors are unchanged.
+// All per-router state except the movement counters lives in a shared
+// Slab (see slab.go): the fields below are views into that slab's flat
+// planes, so the engine's sweeps walk contiguous memory and building a
+// network allocates one Router object per router. The public accessors
+// are unchanged.
 type Router struct {
 	ID  int
 	cfg Config
 
-	in [][]vcState // [port][vc]
+	// in[p*VCs+v] is input VC v of port p.
+	in []vcState
 
 	// occ and lc point at this router's slots in the slab's occupancy and
 	// local-cycle planes: occupied input-buffer slots across all input
@@ -149,15 +150,20 @@ type Router struct {
 	// downstream securing (slab view).
 	pendingToPort []int32
 
-	// Arbiters.
-	outArb []*RoundRobin // per output port: switch allocation over input VCs
-	vcaRR  []int         // per output port: VC-allocation rotation
+	// req[p] is output port p's switch-allocation request mask: bit
+	// inPort*VCs+vc is set while the packet at the front of that input
+	// VC is routed out of p — from the moment its head reaches the front
+	// until its tail pops.
+	req []uint64
+	// saLast[p] is the input-VC index that last won output p; the next
+	// allocation scans round-robin from just past it.
+	saLast []int32
+	// vcaNext[p] is output p's VC-allocation rotation.
+	vcaNext []int32
 
 	// Statistics.
 	flitsForwarded int64
 	flitsEjected   int64
-
-	inPortUsed []bool // per-cycle scratch: crossbar input already used
 }
 
 // New builds a standalone router backed by a private one-slot slab. It
@@ -178,26 +184,40 @@ func (r *Router) IsLocalPort(p int) bool { return p < r.cfg.LocalPorts }
 // fabric checks it before calling AcceptFlit for injection; forwarding
 // relies on credits instead.
 func (r *Router) HasSpace(inPort, vc int) bool {
-	return len(r.in[inPort][vc].q) < r.cfg.Depth
+	return len(r.in[inPort*r.cfg.VCs+vc].q) < r.cfg.Depth
 }
 
 // AcceptFlit places a flit into input (inPort, vc). The flit must carry its
 // OutPort/NextRouter for this router. It panics on buffer overflow, which
 // would indicate a credit-accounting bug.
 func (r *Router) AcceptFlit(env Env, inPort, vc int, f *flit.Flit) {
-	s := &r.in[inPort][vc]
-	if len(s.q) >= r.cfg.Depth {
+	idx := inPort*r.cfg.VCs + vc
+	s := &r.in[idx]
+	n := len(s.q)
+	if n >= r.cfg.Depth {
 		panic(fmt.Sprintf("router %d: input (%d,%d) overflow", r.ID, inPort, vc))
 	}
-	s.q = append(s.q, f)
+	s.q = s.q[:n+1]
+	s.q[n] = f
 	*r.occ++
 	// A flit accepted between local cycles c and c+1 traverses the switch
 	// no earlier than cycle c+Pipeline (1 = the next cycle).
 	f.ReadyCycle = *r.lc + int64(r.cfg.Pipeline)
 	if f.Head {
 		r.pendingToPort[f.OutPort]++
+		if n == 0 {
+			r.latch(idx, s, f)
+		}
 		env.HeadAccepted(r, f)
 	}
+}
+
+// latch records the route of head flit f, which has just reached the
+// front of input VC idx, and raises its request on f's output port.
+func (r *Router) latch(idx int, s *vcState, f *flit.Flit) {
+	s.outPort = int32(f.OutPort)
+	s.outVC = -1
+	r.req[f.OutPort] |= 1 << idx
 }
 
 // Occupancy returns occupied and total input-buffer slots; the ratio is the
@@ -223,10 +243,8 @@ func (r *Router) LocalCycle() int64 { return *r.lc }
 // Occupancy never drifts from the ground truth.
 func (r *Router) RecountOccupancy() int {
 	n := 0
-	for p := range r.in {
-		for v := range r.in[p] {
-			n += len(r.in[p][v].q)
-		}
+	for i := range r.in {
+		n += len(r.in[i].q)
 	}
 	return n
 }
@@ -272,66 +290,74 @@ func (r *Router) Cycle(env Env) {
 	if *r.occ == 0 {
 		return
 	}
-	for i := range r.inPortUsed {
-		r.inPortUsed[i] = false
-	}
+	var used uint64 // bit inPort: that crossbar input already moved a flit
 	for p := 0; p < r.cfg.Ports; p++ {
-		r.serveOutput(env, p, r.inPortUsed)
+		if r.req[p] != 0 {
+			used = r.serveOutput(env, p, used)
+		}
 	}
 }
 
 // serveOutput runs switch allocation for one output port: round-robin over
-// all input VCs whose front flit wants this output and is ready to move.
-func (r *Router) serveOutput(env Env, outPort int, inPortUsed []bool) {
-	if r.pendingToPort[outPort] == 0 {
-		return
+// the input VCs whose front packet requests this output, granting the
+// first whose front flit is ready and can move. The scan visits the
+// requesters in the order saLast+1 … Ports*VCs-1, 0 … saLast. It returns
+// used with the winner's input port added.
+func (r *Router) serveOutput(env Env, outPort int, used uint64) uint64 {
+	local := r.IsLocalPort(outPort)
+	if !local && !env.CanForward(r, outPort) {
+		return used
 	}
-	if !r.IsLocalPort(outPort) && !env.CanForward(r, outPort) {
-		return
+	vcs := r.cfg.VCs
+	start := int(r.saLast[outPort]) + 1
+	if start == r.cfg.Ports*vcs {
+		start = 0
 	}
-	r.outArb[outPort].Grant(func(idx int) bool {
-		inPort, vc := idx/r.cfg.VCs, idx%r.cfg.VCs
-		if inPortUsed[inPort] {
-			return false
+	below := uint64(1)<<start - 1
+	m := r.req[outPort]
+	for _, set := range [2]uint64{m &^ below, m & below} {
+		for ; set != 0; set &= set - 1 {
+			idx := bits.TrailingZeros64(set)
+			inPort := idx / vcs
+			if used&(1<<inPort) != 0 {
+				continue
+			}
+			s := &r.in[idx]
+			if len(s.q) == 0 {
+				continue
+			}
+			f := s.q[0]
+			if f.ReadyCycle > *r.lc {
+				continue
+			}
+			if local {
+				r.eject(env, idx, s, f)
+			} else if !r.forward(env, idx, outPort, s, f) {
+				continue
+			}
+			r.saLast[outPort] = int32(idx)
+			return used | 1<<inPort
 		}
-		s := &r.in[inPort][vc]
-		f := s.front()
-		if f == nil || f.ReadyCycle > *r.lc {
-			return false
-		}
-		// Latch the front packet's route when its head reaches the front.
-		if f.Head && !s.routed {
-			s.routed = true
-			s.outPort = f.OutPort
-			s.outVC = -1
-		}
-		if !s.routed || s.outPort != outPort {
-			return false
-		}
-		if r.IsLocalPort(outPort) {
-			r.eject(env, inPort, vc, s, f)
-		} else if !r.forward(env, inPort, vc, outPort, s, f) {
-			return false
-		}
-		inPortUsed[inPort] = true
-		return true
-	})
+	}
+	return used
 }
 
-// forward tries to move the front flit of s through cardinal port outPort;
-// it returns false if VC allocation or credits block the move.
-func (r *Router) forward(env Env, inPort, vc, outPort int, s *vcState, f *flit.Flit) bool {
+// forward tries to move the front flit of input VC idx through cardinal
+// port outPort; it returns false if VC allocation or credits block the
+// move.
+func (r *Router) forward(env Env, idx, outPort int, s *vcState, f *flit.Flit) bool {
 	if s.outVC < 0 && !r.allocVC(outPort, s, f) {
 		return false
 	}
-	if r.credits[outPort*r.cfg.VCs+s.outVC] == 0 {
+	outVC := int(s.outVC)
+	c := outPort*r.cfg.VCs + outVC
+	if r.credits[c] == 0 {
 		return false
 	}
-	r.credits[outPort*r.cfg.VCs+s.outVC]--
-	outVC := s.outVC
-	r.popFront(env, inPort, vc, s, f)
+	r.credits[c]--
+	r.popFront(env, idx, s, f)
 	if f.Tail {
-		r.outVCBusy[outPort*r.cfg.VCs+outVC] = false
+		r.outVCBusy[c] = false
 		env.TailForwarded(r, outPort, f)
 	}
 	r.flitsForwarded++
@@ -340,27 +366,32 @@ func (r *Router) forward(env Env, inPort, vc, outPort int, s *vcState, f *flit.F
 	return true
 }
 
-// eject consumes the front flit of s at a local port (the attached core
-// accepts one flit per cycle unconditionally).
-func (r *Router) eject(env Env, inPort, vc int, s *vcState, f *flit.Flit) {
-	localPort := s.outPort
-	r.popFront(env, inPort, vc, s, f)
+// eject consumes the front flit of input VC idx at a local port (the
+// attached core accepts one flit per cycle unconditionally).
+func (r *Router) eject(env Env, idx int, s *vcState, f *flit.Flit) {
+	localPort := int(s.outPort)
+	r.popFront(env, idx, s, f)
 	r.flitsEjected++
 	env.FlitMoved(r, f)
 	env.EjectFlit(r, localPort, f)
 }
 
-// popFront removes the front flit, returns its buffer credit upstream, and
-// resets per-packet routing state on tails.
-func (r *Router) popFront(env Env, inPort, vc int, s *vcState, f *flit.Flit) {
+// popFront removes the front flit of input VC idx and returns its buffer
+// credit upstream. A tail withdraws the packet's request; if another
+// packet's head is queued behind it, that head now reaches the front and
+// its route is latched.
+func (r *Router) popFront(env Env, idx int, s *vcState, f *flit.Flit) {
 	s.pop()
 	*r.occ--
 	if f.Tail {
 		r.pendingToPort[s.outPort]--
-		s.routed = false
+		r.req[s.outPort] &^= 1 << idx
 		s.outVC = -1
+		if len(s.q) > 0 && s.q[0].Head {
+			r.latch(idx, s, s.q[0])
+		}
 	}
-	env.CreditFreed(r, inPort, vc)
+	env.CreditFreed(r, idx/r.cfg.VCs, idx%r.cfg.VCs)
 }
 
 // allocVC claims a free downstream VC for the packet at the front of s,
@@ -369,13 +400,13 @@ func (r *Router) popFront(env Env, inPort, vc int, s *vcState, f *flit.Flit) {
 func (r *Router) allocVC(outPort int, s *vcState, f *flit.Flit) bool {
 	lo, hi := r.cfg.VCClassRange(f.Pkt.Kind)
 	span := hi - lo
-	start := r.vcaRR[outPort]
+	start := int(r.vcaNext[outPort])
 	for i := 0; i < span; i++ {
 		v := lo + (start+i)%span
 		if !r.outVCBusy[outPort*r.cfg.VCs+v] {
 			r.outVCBusy[outPort*r.cfg.VCs+v] = true
-			s.outVC = v
-			r.vcaRR[outPort] = (start + i + 1) % span
+			s.outVC = int32(v)
+			r.vcaNext[outPort] = int32((start + i + 1) % span)
 			return true
 		}
 	}

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/flit"
@@ -61,11 +63,16 @@ func TestConfigValidate(t *testing.T) {
 		{Ports: 5, LocalPorts: 1, VCs: 0, Depth: 4, Pipeline: 1},
 		{Ports: 5, LocalPorts: 1, VCs: 2, Depth: 0, Pipeline: 1},
 		{Ports: 5, LocalPorts: 1, VCs: 2, Depth: 4, Pipeline: 0},
+		{Ports: 5, LocalPorts: 1, VCs: 14, Depth: 4, Pipeline: 1}, // 70 input VCs
+		{Ports: 8, LocalPorts: 4, VCs: 10, Depth: 4, Pipeline: 1}, // 80 input VCs
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	if err := (Config{Ports: 8, LocalPorts: 4, VCs: 8, Depth: 4, Pipeline: 1}).Validate(); err != nil {
+		t.Errorf("64 input VCs rejected: %v", err)
 	}
 }
 
@@ -302,6 +309,79 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestRoundRobinArbiter checks the switch allocator's round-robin arbiter
+// over input VCs: persistent requesters win in rotation, a lone requester
+// wins every time, and a cycle without a grant leaves the pointer put.
+func TestRoundRobinArbiter(t *testing.T) {
+	r := New(0, testCfg())
+	env := newFakeEnv()
+	const out = 2
+	var id uint64
+	push := func(inPorts ...int) {
+		for _, p := range inPorts {
+			id++
+			fs := mkFlit(id, flit.Request, out)
+			if len(fs) != 1 {
+				t.Fatalf("request packet has %d flits, want 1", len(fs))
+			}
+			r.AcceptFlit(env, p, 0, fs[0])
+		}
+	}
+	// expect runs one cycle per wanted winner (an input-VC index, or -1
+	// for no grant) and returns each forwarded flit's credit at once.
+	expect := func(what string, want ...int) {
+		t.Helper()
+		for i, w := range want {
+			before := len(env.forwarded)
+			r.Cycle(env)
+			got := -1
+			if len(env.forwarded) > before {
+				got = int(r.saLast[out])
+				r.Credit(out, 0)
+			}
+			if got != w {
+				t.Fatalf("%s: grant %d = %d, want %d", what, i, got, w)
+			}
+		}
+	}
+
+	// Input VC 0 of ports 0, 1, 3 and 4 is index 0, 2, 6 and 8; the scan
+	// starts just past index 0.
+	push(0, 1, 3, 4, 0, 1, 3, 4)
+	expect("rotation", 2, 6, 8, 0, 2, 6, 8, 0)
+	push(3, 3, 3)
+	expect("lone requester", 6, 6, 6)
+
+	env.blocked[out] = true
+	push(1, 4)
+	expect("blocked output", -1, -1)
+	if r.saLast[out] != 6 {
+		t.Fatalf("no-grant cycles moved the pointer to %d", r.saLast[out])
+	}
+	env.blocked[out] = false
+	expect("after block", 8, 2)
+}
+
+// TestRoundRobinBadSizePanics checks that a router whose switch arbiter
+// would span no input VCs, or more than the MaxInputVCs bits of a request
+// mask, is refused at construction.
+func TestRoundRobinBadSizePanics(t *testing.T) {
+	for _, c := range []Config{
+		{Ports: 5, LocalPorts: 1, VCs: 0, Depth: 4, Pipeline: 1},
+		{Ports: 5, LocalPorts: 1, VCs: 14, Depth: 4, Pipeline: 1}, // 70 input VCs
+		{Ports: 8, LocalPorts: 4, VCs: 10, Depth: 4, Pipeline: 1}, // 80 input VCs
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted arbiter over %d input VCs", c.Ports*c.VCs)
+				}
+			}()
+			New(0, c)
+		}()
+	}
+}
+
 func TestPipelineDelaysFlits(t *testing.T) {
 	cfg := testCfg()
 	cfg.Pipeline = 3
@@ -419,40 +499,347 @@ func TestHasSpace(t *testing.T) {
 	}
 }
 
-func TestRoundRobinArbiter(t *testing.T) {
-	a := NewRoundRobin(4)
-	all := func(int) bool { return true }
-	// Persistent requesters rotate 1,2,3,0,1,...
-	want := []int{1, 2, 3, 0, 1}
-	for i, w := range want {
-		if got := a.Grant(all); got != w {
-			t.Fatalf("grant %d = %d, want %d", i, got, w)
+// refArbiter is the reference round-robin arbiter over n requesters:
+// each grant scans from just past the previous winner, so persistent
+// requesters share the resource fairly and a lone requester wins every
+// time.
+type refArbiter struct{ n, last int }
+
+// grant returns the winning requester, or -1 if req reports false for all
+// of them (the pointer then stays put).
+func (a *refArbiter) grant(req func(i int) bool) int {
+	for i := 1; i <= a.n; i++ {
+		idx := (a.last + i) % a.n
+		if req(idx) {
+			a.last = idx
+			return idx
 		}
 	}
-	// A lone requester wins every time (work conservation).
-	only2 := func(i int) bool { return i == 2 }
-	for i := 0; i < 3; i++ {
-		if got := a.Grant(only2); got != 2 {
-			t.Fatalf("lone requester grant = %d", got)
+	return -1
+}
+
+// refVC is a reference input VC: an append-grown FIFO whose front
+// packet's route is latched lazily, when the allocator first inspects it.
+type refVC struct {
+	q              []*flit.Flit
+	routed         bool
+	outPort, outVC int
+}
+
+// refRouter is the reference switch allocator: for every output port a
+// closure scans all Ports*VCs input VCs round-robin. It reports to the Env
+// with a nil *Router.
+type refRouter struct {
+	cfg           Config
+	lc            int64
+	in            [][]refVC
+	credits       []int32
+	outVCBusy     []bool
+	pendingToPort []int32
+	arb           []refArbiter
+	vcaRR         []int
+}
+
+func newRefRouter(cfg Config) *refRouter {
+	r := &refRouter{
+		cfg:           cfg,
+		in:            make([][]refVC, cfg.Ports),
+		credits:       make([]int32, cfg.Ports*cfg.VCs),
+		outVCBusy:     make([]bool, cfg.Ports*cfg.VCs),
+		pendingToPort: make([]int32, cfg.Ports),
+		arb:           make([]refArbiter, cfg.Ports),
+		vcaRR:         make([]int, cfg.Ports),
+	}
+	for p := range r.in {
+		r.in[p] = make([]refVC, cfg.VCs)
+		for v := range r.in[p] {
+			r.in[p][v].outVC = -1
 		}
+		r.arb[p].n = cfg.Ports * cfg.VCs
 	}
-	// No requesters -> -1, and the pointer does not move.
-	if a.Grant(func(int) bool { return false }) != -1 {
-		t.Fatal("empty grant should be -1")
+	for i := range r.credits {
+		r.credits[i] = int32(cfg.Depth)
 	}
-	if got := a.Grant(all); got != 3 {
-		t.Fatalf("after empty grant, next = %d, want 3", got)
-	}
-	if a.Size() != 4 {
-		t.Fatal("size wrong")
+	return r
+}
+
+func (r *refRouter) accept(env Env, inPort, vc int, f *flit.Flit) {
+	s := &r.in[inPort][vc]
+	s.q = append(s.q, f)
+	f.ReadyCycle = r.lc + int64(r.cfg.Pipeline)
+	if f.Head {
+		r.pendingToPort[f.OutPort]++
+		env.HeadAccepted(nil, f)
 	}
 }
 
-func TestRoundRobinBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-size arbiter accepted")
+func (r *refRouter) credit(outPort, vc int) { r.credits[outPort*r.cfg.VCs+vc]++ }
+
+func (r *refRouter) cycle(env Env) {
+	r.lc++
+	used := make([]bool, r.cfg.Ports)
+	for p := 0; p < r.cfg.Ports; p++ {
+		r.serveOutput(env, p, used)
+	}
+}
+
+func (r *refRouter) serveOutput(env Env, outPort int, used []bool) {
+	if r.pendingToPort[outPort] == 0 {
+		return
+	}
+	local := outPort < r.cfg.LocalPorts
+	if !local && !env.CanForward(nil, outPort) {
+		return
+	}
+	r.arb[outPort].grant(func(idx int) bool {
+		inPort, vc := idx/r.cfg.VCs, idx%r.cfg.VCs
+		if used[inPort] {
+			return false
 		}
-	}()
-	NewRoundRobin(0)
+		s := &r.in[inPort][vc]
+		if len(s.q) == 0 || s.q[0].ReadyCycle > r.lc {
+			return false
+		}
+		f := s.q[0]
+		if f.Head && !s.routed {
+			s.routed, s.outPort, s.outVC = true, f.OutPort, -1
+		}
+		if !s.routed || s.outPort != outPort {
+			return false
+		}
+		if local {
+			r.pop(env, inPort, vc, s, f)
+			env.FlitMoved(nil, f)
+			env.EjectFlit(nil, outPort, f)
+		} else if !r.forward(env, inPort, vc, outPort, s, f) {
+			return false
+		}
+		used[inPort] = true
+		return true
+	})
+}
+
+func (r *refRouter) forward(env Env, inPort, vc, outPort int, s *refVC, f *flit.Flit) bool {
+	if s.outVC < 0 {
+		lo, hi := r.cfg.VCClassRange(f.Pkt.Kind)
+		span, start := hi-lo, r.vcaRR[outPort]
+		for i := 0; i < span && s.outVC < 0; i++ {
+			if v := lo + (start+i)%span; !r.outVCBusy[outPort*r.cfg.VCs+v] {
+				r.outVCBusy[outPort*r.cfg.VCs+v] = true
+				s.outVC = v
+				r.vcaRR[outPort] = (start + i + 1) % span
+			}
+		}
+		if s.outVC < 0 {
+			return false
+		}
+	}
+	c := outPort*r.cfg.VCs + s.outVC
+	if r.credits[c] == 0 {
+		return false
+	}
+	r.credits[c]--
+	outVC := s.outVC
+	r.pop(env, inPort, vc, s, f)
+	if f.Tail {
+		r.outVCBusy[c] = false
+		env.TailForwarded(nil, outPort, f)
+	}
+	env.FlitMoved(nil, f)
+	env.ForwardFlit(nil, outPort, outVC, f)
+	return true
+}
+
+func (r *refRouter) pop(env Env, inPort, vc int, s *refVC, f *flit.Flit) {
+	s.q = s.q[1:]
+	if f.Tail {
+		r.pendingToPort[s.outPort]--
+		s.routed, s.outVC = false, -1
+	}
+	env.CreditFreed(nil, inPort, vc)
+}
+
+// event is one Env callback, with the flit named by packet ID and Seq.
+type event struct {
+	kind byte
+	a, b int
+	id   uint64
+	seq  int
+}
+
+// logEnv records every Env callback; CanForward answers from a table set
+// per cycle, so both routers see the same answers however often they ask.
+type logEnv struct {
+	log []event
+	can []bool
+}
+
+func (e *logEnv) add(kind byte, a, b int, f *flit.Flit) {
+	ev := event{kind: kind, a: a, b: b}
+	if f != nil {
+		ev.id, ev.seq = f.Pkt.ID, f.Seq
+	}
+	e.log = append(e.log, ev)
+}
+func (e *logEnv) ForwardFlit(_ *Router, outPort, outVC int, f *flit.Flit) {
+	e.add('F', outPort, outVC, f)
+}
+func (e *logEnv) EjectFlit(_ *Router, localPort int, f *flit.Flit) { e.add('E', localPort, 0, f) }
+func (e *logEnv) CreditFreed(_ *Router, inPort, vc int)            { e.add('C', inPort, vc, nil) }
+func (e *logEnv) CanForward(_ *Router, outPort int) bool           { return e.can[outPort] }
+func (e *logEnv) HeadAccepted(_ *Router, f *flit.Flit)             { e.add('H', f.OutPort, 0, f) }
+func (e *logEnv) TailForwarded(_ *Router, outPort int, f *flit.Flit) {
+	e.add('T', outPort, 0, f)
+}
+func (e *logEnv) FlitMoved(_ *Router, f *flit.Flit) { e.add('M', 0, 0, f) }
+
+// TestSwitchAllocatorMatchesReference drives the router and the reference
+// closure-scan allocator with identical random arrivals, credit returns
+// and CanForward answers, and requires identical behaviour every cycle.
+// Seeds cycle through mesh (1 local port) and cmesh (4 local ports)
+// routers, VCs in {2,4,8} and Pipeline in {1,3}, with random depth, load,
+// packet lengths and credit delays.
+func TestSwitchAllocatorMatchesReference(t *testing.T) {
+	// The reference arbiter itself: persistent requesters rotate, a lone
+	// requester always wins, and an empty grant leaves the pointer.
+	a := refArbiter{n: 4}
+	all := func(int) bool { return true }
+	for i, w := range []int{1, 2, 3, 0, 1} {
+		if got := a.grant(all); got != w {
+			t.Fatalf("reference grant %d = %d, want %d", i, got, w)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if got := a.grant(func(i int) bool { return i == 2 }); got != 2 {
+			t.Fatalf("lone requester grant = %d", got)
+		}
+	}
+	if a.grant(func(int) bool { return false }) != -1 || a.grant(all) != 3 {
+		t.Fatal("empty grant moved the reference pointer")
+	}
+
+	const seeds, cycles = 240, 300
+	var moved, latchedBehind int
+	for seed := 0; seed < seeds; seed++ {
+		local := []int{1, 4}[seed%2]
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cfg := Config{
+			Ports:      local + 4,
+			LocalPorts: local,
+			VCs:        []int{2, 4, 8}[seed/2%3],
+			Depth:      1 + rng.Intn(6),
+			Pipeline:   []int{1, 3}[seed/6%2],
+		}
+		m, l := diffRun(t, seed, cfg, rng, cycles)
+		moved += m
+		latchedBehind += l
+		if t.Failed() {
+			return
+		}
+	}
+	// Guard against a vacuous comparison: flits must move, and heads must
+	// reach the front by popping a tail as well as by arriving.
+	if moved < seeds*cycles/10 || latchedBehind < seeds {
+		t.Fatalf("weak coverage: %d moves, %d heads queued behind a tail", moved, latchedBehind)
+	}
+}
+
+// diffRun runs one seed of the differential test and returns the number
+// of flit moves and of heads accepted behind another packet.
+func diffRun(t *testing.T, seed int, cfg Config, rng *rand.Rand, cycles int) (moved, behind int) {
+	t.Helper()
+	r, ref := New(0, cfg), newRefRouter(cfg)
+	env := &logEnv{can: make([]bool, cfg.Ports)}
+	refEnv := &logEnv{can: env.can}
+	arrive := 0.2 + 0.8*rng.Float64()
+	canP := 0.5 + 0.5*rng.Float64()
+
+	// pending[p*VCs+v] holds the unsent flits of the packet arriving on
+	// input (p, v), once for each router.
+	type stream struct{ fs, refFs []*flit.Flit }
+	pending := make([]stream, cfg.Ports*cfg.VCs)
+	var nextID uint64
+	type creditDue struct{ at, port, vc int }
+	var credits []creditDue
+
+	for c := 0; c < cycles; c++ {
+		env.log, refEnv.log = env.log[:0], refEnv.log[:0]
+		for i := range pending {
+			inPort, vc := i/cfg.VCs, i%cfg.VCs
+			if rng.Float64() >= arrive || !r.HasSpace(inPort, vc) {
+				continue
+			}
+			st := &pending[i]
+			if len(st.fs) == 0 {
+				kind := flit.Request
+				if lo, _ := cfg.VCClassRange(flit.Response); vc >= lo {
+					kind = flit.Response
+				}
+				size, out := 1+rng.Intn(5), rng.Intn(cfg.Ports)
+				nextID++
+				mk := func() []*flit.Flit {
+					p := flit.New(nextID, 0, 1, kind, 0)
+					p.Size = size
+					fs := flit.Flits(p)
+					for _, f := range fs {
+						f.OutPort = out
+					}
+					return fs
+				}
+				st.fs, st.refFs = mk(), mk()
+				if len(r.in[i].q) > 0 {
+					behind++
+				}
+			}
+			r.AcceptFlit(env, inPort, vc, st.fs[0])
+			ref.accept(refEnv, inPort, vc, st.refFs[0])
+			st.fs, st.refFs = st.fs[1:], st.refFs[1:]
+		}
+		kept := credits[:0]
+		for _, cr := range credits {
+			if cr.at == c {
+				r.Credit(cr.port, cr.vc)
+				ref.credit(cr.port, cr.vc)
+			} else {
+				kept = append(kept, cr)
+			}
+		}
+		credits = kept
+		for p := range env.can {
+			env.can[p] = rng.Float64() < canP
+		}
+
+		r.Cycle(env)
+		ref.cycle(refEnv)
+
+		if !reflect.DeepEqual(env.log, refEnv.log) {
+			t.Fatalf("seed %d %+v cycle %d: events differ\n got %v\nwant %v", seed, cfg, c, env.log, refEnv.log)
+		}
+		for _, ev := range env.log {
+			switch ev.kind {
+			case 'F':
+				credits = append(credits, creditDue{at: c + 1 + rng.Intn(6), port: ev.a, vc: ev.b})
+				moved++
+			case 'E':
+				moved++
+			}
+		}
+		lastOK := true
+		for p := range ref.arb {
+			lastOK = lastOK && int(r.saLast[p]) == ref.arb[p].last && int(r.vcaNext[p]) == ref.vcaRR[p]
+		}
+		switch {
+		case !reflect.DeepEqual(r.credits, ref.credits):
+			t.Fatalf("seed %d cycle %d: credits %v, reference %v", seed, c, r.credits, ref.credits)
+		case !reflect.DeepEqual(r.outVCBusy, ref.outVCBusy):
+			t.Fatalf("seed %d cycle %d: outVCBusy %v, reference %v", seed, c, r.outVCBusy, ref.outVCBusy)
+		case !reflect.DeepEqual(r.pendingToPort, ref.pendingToPort):
+			t.Fatalf("seed %d cycle %d: pendingToPort %v, reference %v", seed, c, r.pendingToPort, ref.pendingToPort)
+		case !lastOK:
+			t.Fatalf("seed %d cycle %d: arbiter pointers %v/%v, reference %+v/%v", seed, c, r.saLast, r.vcaNext, ref.arb, ref.vcaRR)
+		case r.RecountOccupancy() != r.Occupied():
+			t.Fatalf("seed %d cycle %d: occupancy %d, recount %d", seed, c, r.Occupied(), r.RecountOccupancy())
+		}
+	}
+	return moved, behind
 }

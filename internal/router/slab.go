@@ -1,4 +1,4 @@
-// Struct-of-arrays slab for the hot per-router state. The simulation
+// Struct-of-arrays slab for the per-router state. The simulation
 // engine's per-tick sweep and its quiet-margin predicate touch a handful
 // of fields on every router they visit — the occupancy aggregate, the
 // local cycle counter, the per-port pending counts, credits and
@@ -11,11 +11,13 @@
 // above the router layer changes semantics.
 package router
 
-// Slab is the shared backing store for the hot state of a set of
+import "repro/internal/flit"
+
+// Slab is the shared backing store for the state of a set of
 // same-configured routers, indexed by slot (the engine uses router ID as
-// the slot). Cold state — VC queues, arbiters, statistics — stays on the
-// Router itself, where it is touched only when the router actually moves
-// flits.
+// the slot). Besides the hot scalars it holds the VC FIFOs and the switch
+// allocator's state, so building n routers allocates a fixed number of
+// planes plus the n Router objects, and no router operation allocates.
 type Slab struct {
 	cfg Config
 
@@ -27,6 +29,13 @@ type Slab struct {
 	pendingToPort []int32
 	credits       []int32
 	outVCBusy     []bool
+	vcs           []vcState
+	req           []uint64 // switch-allocation request mask per output port
+	saLast        []int32  // last switch-allocation winner per output port
+	vcaNext       []int32  // VC-allocation rotation per output port
+
+	// flits is the FIFO storage: input VC i owns flits[i*Depth:(i+1)*Depth].
+	flits []*flit.Flit
 }
 
 // NewSlab allocates slab storage for n routers of one configuration. It
@@ -35,16 +44,26 @@ func NewSlab(n int, cfg Config) *Slab {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	ports, pv := n*cfg.Ports, n*cfg.Ports*cfg.VCs
 	s := &Slab{
 		cfg:           cfg,
 		occupied:      make([]int32, n),
 		localCycle:    make([]int64, n),
-		pendingToPort: make([]int32, n*cfg.Ports),
-		credits:       make([]int32, n*cfg.Ports*cfg.VCs),
-		outVCBusy:     make([]bool, n*cfg.Ports*cfg.VCs),
+		pendingToPort: make([]int32, ports),
+		credits:       make([]int32, pv),
+		outVCBusy:     make([]bool, pv),
+		vcs:           make([]vcState, pv),
+		req:           make([]uint64, ports),
+		saLast:        make([]int32, ports),
+		vcaNext:       make([]int32, ports),
+		flits:         make([]*flit.Flit, pv*cfg.Depth),
 	}
 	for i := range s.credits {
 		s.credits[i] = int32(cfg.Depth)
+	}
+	d := cfg.Depth
+	for i := range s.vcs {
+		s.vcs[i] = vcState{q: s.flits[i*d : i*d : (i+1)*d], outVC: -1}
 	}
 	return s
 }
@@ -62,29 +81,23 @@ func (s *Slab) Config() Config { return s.cfg }
 // callers must treat it as read-only.
 func (s *Slab) OccupiedSlots() []int32 { return s.occupied }
 
-// NewInSlab builds a router whose hot state lives at slot of s. All
-// routers sharing a slab use the slab's configuration.
+// NewInSlab builds a router whose state lives at slot of s. All routers
+// sharing a slab use the slab's configuration.
 func NewInSlab(id int, s *Slab, slot int) *Router {
 	cfg := s.cfg
-	r := &Router{ID: id, cfg: cfg}
-	r.occ = &s.occupied[slot]
-	r.lc = &s.localCycle[slot]
-	r.pendingToPort = s.pendingToPort[slot*cfg.Ports : (slot+1)*cfg.Ports]
-	pv := cfg.Ports * cfg.VCs
-	r.credits = s.credits[slot*pv : (slot+1)*pv]
-	r.outVCBusy = s.outVCBusy[slot*pv : (slot+1)*pv]
-	r.in = make([][]vcState, cfg.Ports)
-	for p := 0; p < cfg.Ports; p++ {
-		r.in[p] = make([]vcState, cfg.VCs)
-		for v := range r.in[p] {
-			r.in[p][v].outVC = -1
-		}
+	p0, p1 := slot*cfg.Ports, (slot+1)*cfg.Ports
+	v0, v1 := p0*cfg.VCs, p1*cfg.VCs
+	return &Router{
+		ID:            id,
+		cfg:           cfg,
+		in:            s.vcs[v0:v1],
+		occ:           &s.occupied[slot],
+		lc:            &s.localCycle[slot],
+		credits:       s.credits[v0:v1],
+		outVCBusy:     s.outVCBusy[v0:v1],
+		pendingToPort: s.pendingToPort[p0:p1],
+		req:           s.req[p0:p1],
+		saLast:        s.saLast[p0:p1],
+		vcaNext:       s.vcaNext[p0:p1],
 	}
-	r.outArb = make([]*RoundRobin, cfg.Ports)
-	for p := range r.outArb {
-		r.outArb[p] = NewRoundRobin(cfg.Ports * cfg.VCs)
-	}
-	r.vcaRR = make([]int, cfg.Ports)
-	r.inPortUsed = make([]bool, cfg.Ports)
-	return r
 }

@@ -202,6 +202,9 @@ func (c *Config) applyDefaults() error {
 	if c.Pipeline == 0 {
 		c.Pipeline = DefaultPipeline
 	}
+	if err := network.RouterConfig(c.Topo, c.VCs, c.Depth, c.Pipeline).Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if c.PunchHops == 0 {
 		c.PunchHops = DefaultPunchHops
 	}

@@ -230,6 +230,48 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsBadRouterSizing checks that router sizings the fabric
+// cannot build come back from Run and NewSession as errors, not panics.
+func TestConfigRejectsBadRouterSizing(t *testing.T) {
+	mesh := topology.NewMesh(4, 4)
+	cmesh := topology.NewCMesh(2, 2)
+	tr := smallTrace(t, mesh, "fft", 1000)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"odd VCs", Config{Topo: mesh, VCs: 3}},
+		{"negative VCs", Config{Topo: mesh, VCs: -2}},
+		{"negative depth", Config{Topo: mesh, Depth: -1}},
+		{"negative pipeline", Config{Topo: mesh, Pipeline: -2}},
+		{"mesh ports x VCs over 64", Config{Topo: mesh, VCs: 14}},
+		{"cmesh ports x VCs over 64", Config{Topo: cmesh, VCs: 10}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			cfg := tc.cfg
+			cfg.Spec = policy.Baseline()
+			if cfg.Topo == mesh {
+				cfg.Trace = tr
+			} else {
+				cfg.Trace = smallTrace(t, cmesh, "fft", 1000)
+			}
+			if _, err := Run(cfg); err == nil {
+				t.Error("Run accepted the configuration")
+			}
+			cfg.Trace = nil
+			if _, err := NewSession(cfg); err == nil {
+				t.Error("NewSession accepted the configuration")
+			}
+		})
+	}
+}
+
 func TestEnergyAccountingCrossCheck(t *testing.T) {
 	// Baseline static energy = routers * M7 watts * run seconds exactly.
 	topo := topology.NewMesh(4, 4)
