@@ -33,10 +33,13 @@ race:
 # path under banded and randomized heavy traffic — fast enough to fail a
 # sharding bug before the full race sweep runs. The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
-# are the multiplexing layer's race gate.
+# are the multiplexing layer's race gate. The suite's claim-then-wait
+# harvest tests (DESIGN.md §5i) ride along too, next to the sweep job
+# tests, which train ML models from several workers at once.
 race-sharded:
 	$(GO) test -race -run 'TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|TestActiveSetEquivalence|TestRetile|TestHorizonEquivalence' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
+	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
 # Protocol fuzz smoke: run the cosim frame-decoder fuzz target for 10s

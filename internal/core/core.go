@@ -150,18 +150,39 @@ type datasetKey struct {
 	trace string
 }
 
+// flight is a cache entry whose value may still be being computed. The
+// goroutine that inserts it (under Suite.mu) does the work without
+// holding the lock, sets v and err, and closes done; every other caller
+// waits on done. A failed entry leaves its map before done closes, so
+// waiters get the error but errors are never cached.
+type flight[T any] struct {
+	done chan struct{}
+	v    T
+	err  error
+}
+
+func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})} }
+
+func (f *flight[T]) wait() (T, error) {
+	<-f.done
+	return f.v, f.err
+}
+
 // Suite orchestrates the full experimental protocol on one topology.
 // Its caches are guarded, so the parallel entry points (CompareParallel,
 // HarvestParallel) may be used from multiple goroutines; individual
-// simulations are single-threaded and deterministic.
+// simulations are single-threaded and deterministic. A trace is
+// generated, and a reactive dataset harvested, at most once however many
+// goroutines ask for it at the same time.
 type Suite struct {
 	Topo topology.Topology
 	Opts Options
 
 	mu       sync.Mutex
-	traces   map[string]*traffic.Trace
-	datasets map[datasetKey]*ml.Dataset
+	traces   map[string]*flight[*traffic.Trace]
+	datasets map[datasetKey]*flight[*ml.Dataset]
 	trained  map[ModelKind]*ml.TrainReport
+	harvests int // reactive harvest simulations started
 }
 
 // NewSuite builds a suite.
@@ -169,34 +190,34 @@ func NewSuite(topo topology.Topology, opts Options) *Suite {
 	return &Suite{
 		Topo:     topo,
 		Opts:     opts.withDefaults(),
-		traces:   make(map[string]*traffic.Trace),
-		datasets: make(map[datasetKey]*ml.Dataset),
+		traces:   make(map[string]*flight[*traffic.Trace]),
+		datasets: make(map[datasetKey]*flight[*ml.Dataset]),
 		trained:  make(map[ModelKind]*ml.TrainReport),
 	}
 }
 
 // Trace returns the (cached) uncompressed trace for a benchmark profile.
+// Concurrent first calls for one name generate it once: the others wait
+// for the generating goroutine.
 func (s *Suite) Trace(name string) (*traffic.Trace, error) {
 	s.mu.Lock()
-	t, ok := s.traces[name]
-	s.mu.Unlock()
+	f, ok := s.traces[name]
 	if ok {
-		return t, nil
+		s.mu.Unlock()
+		return f.wait()
 	}
 	p, ok := traffic.ProfileByName(name)
 	if !ok {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown benchmark %q", name)
 	}
-	g := traffic.Generator{Topo: s.Topo, Horizon: s.Opts.Horizon, Seed: s.Opts.Seed}
-	t = g.Generate(p)
-	s.mu.Lock()
-	if prev, ok := s.traces[name]; ok {
-		t = prev // a concurrent generator won; keep one canonical trace
-	} else {
-		s.traces[name] = t
-	}
+	f = newFlight[*traffic.Trace]()
+	s.traces[name] = f
 	s.mu.Unlock()
-	return t, nil
+	g := traffic.Generator{Topo: s.Topo, Horizon: s.Opts.Horizon, Seed: s.Opts.Seed}
+	f.v = g.Generate(p)
+	close(f.done)
+	return f.v, nil
 }
 
 // PutTrace installs a pre-generated trace under a benchmark name, so
@@ -205,11 +226,14 @@ func (s *Suite) Trace(name string) (*traffic.Trace, error) {
 // are read-only during simulation, and runs are deterministic, so the
 // sharing is free. The caller certifies the trace was generated with
 // this suite's topology, horizon and seed; a trace already cached under
-// the name is kept (first writer wins, like the Trace fast path).
+// the name, or being generated under it, is kept (first writer wins).
 func (s *Suite) PutTrace(name string, t *traffic.Trace) {
 	s.mu.Lock()
 	if _, ok := s.traces[name]; !ok {
-		s.traces[name] = t
+		f := newFlight[*traffic.Trace]()
+		f.v = t
+		close(f.done)
+		s.traces[name] = f
 	}
 	s.mu.Unlock()
 }
@@ -276,22 +300,52 @@ func (s *Suite) Spec(kind ModelKind) (policy.Spec, error) {
 }
 
 // Dataset returns the (cached) feature/label dataset harvested by running
-// the reactive variant of kind over the named benchmark trace.
+// the reactive variant of kind over the named benchmark trace. If another
+// goroutine is already harvesting it, Dataset waits for that harvest.
 func (s *Suite) Dataset(kind ModelKind, trace string) (*ml.Dataset, error) {
-	key := datasetKey{kind, trace}
+	return s.dataset(datasetKey{kind, trace}, true)
+}
+
+// dataset returns key's dataset, harvesting it if no goroutine has
+// started that harvest yet. If one has, it waits for the result when
+// wait is set and returns (nil, nil) at once otherwise. The harvest runs
+// without holding s.mu and never waits on another harvest, so waiting on
+// an in-flight one cannot deadlock.
+func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
 	s.mu.Lock()
-	d, ok := s.datasets[key]
+	f, ok := s.datasets[key]
+	if !ok {
+		f = newFlight[*ml.Dataset]()
+		s.datasets[key] = f
+		s.harvests++
+	}
 	s.mu.Unlock()
 	if ok {
-		return d, nil
+		if !wait {
+			return nil, nil
+		}
+		return f.wait()
 	}
-	t, err := s.Trace(trace)
+	f.v, f.err = s.harvest(key)
+	if f.err != nil {
+		s.mu.Lock()
+		delete(s.datasets, key)
+		s.mu.Unlock()
+	}
+	close(f.done)
+	return f.v, f.err
+}
+
+// harvest runs the reactive variant of key.kind over key.trace and
+// returns the dataset it collected.
+func (s *Suite) harvest(key datasetKey) (*ml.Dataset, error) {
+	t, err := s.Trace(key.trace)
 	if err != nil {
 		return nil, err
 	}
 	res, err := sim.Run(sim.Config{
 		Topo:           s.Topo,
-		Spec:           s.reactiveSpec(kind),
+		Spec:           s.reactiveSpec(key.kind),
 		Trace:          t,
 		VCs:            s.Opts.VCs,
 		Depth:          s.Opts.Depth,
@@ -305,15 +359,8 @@ func (s *Suite) Dataset(kind ModelKind, trace string) (*ml.Dataset, error) {
 		CollectDataset: true,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: harvesting %v on %s: %w", kind, trace, err)
+		return nil, fmt.Errorf("core: harvesting %v on %s: %w", key.kind, key.trace, err)
 	}
-	s.mu.Lock()
-	if prev, ok := s.datasets[key]; ok {
-		res.Dataset = prev
-	} else {
-		s.datasets[key] = res.Dataset
-	}
-	s.mu.Unlock()
 	return res.Dataset, nil
 }
 
@@ -331,9 +378,26 @@ func (s *Suite) MergedDataset(kind ModelKind, split traffic.Split) (*ml.Dataset,
 	return out, nil
 }
 
+// trainingTraces names the 6 training and 3 validation traces, in the
+// order Train merges them.
+func trainingTraces() []string {
+	var names []string
+	for _, split := range []traffic.Split{traffic.Train, traffic.Validation} {
+		for _, p := range traffic.ProfilesBySplit(split) {
+			names = append(names, p.Name)
+		}
+	}
+	return names
+}
+
 // Train runs the offline pipeline for one ML kind: harvest reactive
 // datasets over the 6 training and 3 validation traces, then sweep lambda
 // and keep the best validation model. The report is cached.
+//
+// Concurrent calls share the harvests: each caller first runs every
+// harvest nobody has started, then merges in profile order, waiting on
+// the ones other callers are still running. Two goroutines training one
+// kind therefore split its 9 simulations between them.
 func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 	s.mu.Lock()
 	rep, ok := s.trained[kind]
@@ -343,6 +407,11 @@ func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 	}
 	if !kind.IsML() {
 		return nil, fmt.Errorf("core: %v has no trained model", kind)
+	}
+	for _, name := range trainingTraces() {
+		if _, err := s.dataset(datasetKey{kind, name}, false); err != nil {
+			return nil, err
+		}
 	}
 	train, err := s.MergedDataset(kind, traffic.Train)
 	if err != nil {
@@ -530,49 +599,32 @@ func (c *Comparison) Relatives() []Relative {
 }
 
 // HarvestParallel pre-populates the reactive datasets of the given ML
-// kinds over the given traces using up to GOMAXPROCS workers; each
-// harvest is an independent, deterministic simulation. Subsequent Train
-// calls then hit the cache.
+// kinds over the given traces using up to GOMAXPROCS goroutines; each
+// harvest is an independent, deterministic simulation. Every goroutine
+// walks the whole job list and runs the harvests nobody has started, then
+// the results are collected in order. Subsequent Train calls hit the
+// cache.
 func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
-	type job struct {
-		kind  ModelKind
-		trace string
-	}
-	var jobs []job
-	for _, k := range kinds {
-		for _, tr := range traces {
-			jobs = append(jobs, job{k, tr})
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		return nil
-	}
-	ch := make(chan job)
-	errs := make(chan error, len(jobs))
+	workers := min(runtime.GOMAXPROCS(0), len(kinds)*len(traces))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				if _, err := s.Dataset(j.kind, j.trace); err != nil {
-					errs <- err
+			for _, k := range kinds {
+				for _, tr := range traces {
+					s.dataset(datasetKey{k, tr}, false) // a failure resurfaces below
 				}
 			}
 		}()
 	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
+	for _, k := range kinds {
+		for _, tr := range traces {
+			if _, err := s.Dataset(k, tr); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -580,14 +632,7 @@ func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
 // TrainAllParallel harvests every training/validation dataset in
 // parallel, then runs the (fast) lambda sweeps.
 func (s *Suite) TrainAllParallel() error {
-	var names []string
-	for _, p := range traffic.ProfilesBySplit(traffic.Train) {
-		names = append(names, p.Name)
-	}
-	for _, p := range traffic.ProfilesBySplit(traffic.Validation) {
-		names = append(names, p.Name)
-	}
-	if err := s.HarvestParallel(MLKinds, names); err != nil {
+	if err := s.HarvestParallel(MLKinds, trainingTraces()); err != nil {
 		return err
 	}
 	return s.trainAllSequential()

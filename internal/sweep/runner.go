@@ -206,13 +206,6 @@ type suiteKey struct {
 	lambda string
 }
 
-// group is one shared suite plus the mutex that makes ML training
-// happen once per (group, kind) even when several workers need it.
-type group struct {
-	suite   *core.Suite
-	trainMu sync.Mutex
-}
-
 // traceKey identifies one immutable generated base trace.
 type traceKey struct {
 	topo  string
@@ -225,36 +218,35 @@ type runner struct {
 	spec Spec // defaults applied
 
 	mu     sync.Mutex
-	groups map[suiteKey]*group
+	groups map[suiteKey]*core.Suite
 	traces map[traceKey]*traffic.Trace
 }
 
 func newRunner(spec *Spec) *runner {
 	return &runner{
 		spec:   spec.withDefaults(),
-		groups: make(map[suiteKey]*group),
+		groups: make(map[suiteKey]*core.Suite),
 		traces: make(map[traceKey]*traffic.Trace),
 	}
 }
 
 // execute runs one matrix cell and folds the result into its row.
 func (r *runner) execute(run *Run, o *obs.Observer) (Row, error) {
-	g, err := r.groupFor(run)
+	s, err := r.suiteFor(run)
 	if err != nil {
 		return Row{}, err
 	}
 	if run.Kind.IsML() {
-		g.trainMu.Lock()
-		_, err := g.suite.Train(run.Kind) // returns the cached report after the first call
-		g.trainMu.Unlock()
-		if err != nil {
+		// Workers training one kind at once split its harvests; later
+		// calls return the cached report.
+		if _, err := s.Train(run.Kind); err != nil {
 			return Row{}, err
 		}
 	}
-	if err := r.shareTrace(g.suite, run); err != nil {
+	if err := r.shareTrace(s, run); err != nil {
 		return Row{}, err
 	}
-	res, err := g.suite.RunBenchmarkObs(run.Kind, run.Bench, run.Compress, o)
+	res, err := s.RunBenchmarkObs(run.Kind, run.Bench, run.Compress, o)
 	if err != nil {
 		return Row{}, err
 	}
@@ -266,14 +258,14 @@ func (r *runner) execute(run *Run, o *obs.Observer) (Row, error) {
 	return makeRow(run, res, snap), nil
 }
 
-// groupFor returns (creating on first use) the run's configuration
-// group.
-func (r *runner) groupFor(run *Run) (*group, error) {
+// suiteFor returns (creating on first use) the suite of the run's
+// configuration group.
+func (r *runner) suiteFor(run *Run) (*core.Suite, error) {
 	key := suiteKey{topo: run.Topo, seed: run.Seed, epoch: run.EpochTicks, punch: run.PunchHops, lambda: run.Lambda}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.groups[key]; ok {
-		return g, nil
+	if s, ok := r.groups[key]; ok {
+		return s, nil
 	}
 	topo, err := cli.ParseTopo(run.Topo)
 	if err != nil {
@@ -298,14 +290,15 @@ func (r *runner) groupFor(run *Run) (*group, error) {
 	} else {
 		opts.PunchHops = run.PunchHops
 	}
-	g := &group{suite: core.NewSuite(topo, opts)}
-	r.groups[key] = g
-	return g, nil
+	s := core.NewSuite(topo, opts)
+	r.groups[key] = s
+	return s, nil
 }
 
-// shareTrace makes the run's base trace visible to its suite, generating
-// it at most once per job even when many suites (different epochs,
-// lambdas, punch settings) replay the same (topo, seed, bench) workload.
+// shareTrace makes the run's base trace visible to its suite, so the many
+// suites (different epochs, lambdas, punch settings) that replay one
+// (topo, seed, bench) workload share a single generated trace. Within a
+// suite, concurrent first calls generate it once (Suite.Trace).
 func (r *runner) shareTrace(s *core.Suite, run *Run) error {
 	key := traceKey{topo: run.Topo, seed: run.Seed, bench: run.Bench}
 	r.mu.Lock()
@@ -320,9 +313,7 @@ func (r *runner) shareTrace(s *core.Suite, run *Run) error {
 		return err
 	}
 	r.mu.Lock()
-	if prev, ok := r.traces[key]; ok {
-		tr = prev
-	} else {
+	if _, ok := r.traces[key]; !ok {
 		r.traces[key] = tr
 	}
 	r.mu.Unlock()

@@ -256,6 +256,40 @@ func TestSweepRowsAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestSweepMLRowsAreDeterministic trains the three ML models inside the
+// job: with three workers, pairs of rows train one kind at the same time
+// and split its harvests, and the results file must still be byte-for-
+// byte the one a single worker writes.
+func TestSweepMLRowsAreDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ML training in -short mode")
+	}
+	spec := &Spec{
+		Topos:    []string{"mesh4x4"},
+		Models:   []string{"lead", "dozznoc", "turbo"},
+		Benches:  []string{"fft"},
+		Compress: []int64{1, 2},
+		Horizon:  3_000,
+	}
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.jsonl")
+	b := filepath.Join(dir, "b.jsonl")
+	if _, err := RunJob(spec, a, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunJob(spec, b, Options{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	da, _ := os.ReadFile(a)
+	db, _ := os.ReadFile(b)
+	if !bytes.Equal(da, db) {
+		t.Fatalf("worker count changed ML row bytes:\n%s\nvs\n%s", da, db)
+	}
+	if n := bytes.Count(da, []byte("\n")); n != 6 {
+		t.Fatalf("results file has %d rows, want 6", n)
+	}
+}
+
 func TestSweepCompare(t *testing.T) {
 	mk := func(model string, seed int64, edp float64) Row {
 		return Row{
