@@ -150,20 +150,30 @@ type datasetKey struct {
 	trace string
 }
 
-// flight is a cache entry whose value may still be being computed. The
-// goroutine that inserts it (under Suite.mu) does the work without
-// holding the lock, sets v and err, and closes done; every other caller
-// waits on done. A failed entry leaves its map before done closes, so
-// waiters get the error but errors are never cached.
-type flight[T any] struct {
+// Flight is a cache entry whose value may still be being computed. The
+// goroutine that inserts it (under its cache's lock) does the work
+// without holding the lock and publishes the outcome with Finish; every
+// other caller waits in Wait. A failed entry leaves its map before
+// Finish, so waiters get the error but errors are never cached. The
+// sweep runner's job-wide trace cache uses the same entry.
+type Flight[T any] struct {
 	done chan struct{}
 	v    T
 	err  error
 }
 
-func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})} }
+// NewFlight returns an unfinished entry.
+func NewFlight[T any]() *Flight[T] { return &Flight[T]{done: make(chan struct{})} }
 
-func (f *flight[T]) wait() (T, error) {
+// Finish publishes the entry's outcome and releases its waiters. It must
+// be called exactly once, by the goroutine that inserted the entry.
+func (f *Flight[T]) Finish(v T, err error) {
+	f.v, f.err = v, err
+	close(f.done)
+}
+
+// Wait blocks until the entry is finished and returns its outcome.
+func (f *Flight[T]) Wait() (T, error) {
 	<-f.done
 	return f.v, f.err
 }
@@ -179,8 +189,8 @@ type Suite struct {
 	Opts Options
 
 	mu       sync.Mutex
-	traces   map[string]*flight[*traffic.Trace]
-	datasets map[datasetKey]*flight[*ml.Dataset]
+	traces   map[string]*Flight[*traffic.Trace]
+	datasets map[datasetKey]*Flight[*ml.Dataset]
 	trained  map[ModelKind]*ml.TrainReport
 	harvests int // reactive harvest simulations started
 }
@@ -190,8 +200,8 @@ func NewSuite(topo topology.Topology, opts Options) *Suite {
 	return &Suite{
 		Topo:     topo,
 		Opts:     opts.withDefaults(),
-		traces:   make(map[string]*flight[*traffic.Trace]),
-		datasets: make(map[datasetKey]*flight[*ml.Dataset]),
+		traces:   make(map[string]*Flight[*traffic.Trace]),
+		datasets: make(map[datasetKey]*Flight[*ml.Dataset]),
 		trained:  make(map[ModelKind]*ml.TrainReport),
 	}
 }
@@ -204,20 +214,20 @@ func (s *Suite) Trace(name string) (*traffic.Trace, error) {
 	f, ok := s.traces[name]
 	if ok {
 		s.mu.Unlock()
-		return f.wait()
+		return f.Wait()
 	}
 	p, ok := traffic.ProfileByName(name)
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: unknown benchmark %q", name)
 	}
-	f = newFlight[*traffic.Trace]()
+	f = NewFlight[*traffic.Trace]()
 	s.traces[name] = f
 	s.mu.Unlock()
 	g := traffic.Generator{Topo: s.Topo, Horizon: s.Opts.Horizon, Seed: s.Opts.Seed}
-	f.v = g.Generate(p)
-	close(f.done)
-	return f.v, nil
+	t := g.Generate(p)
+	f.Finish(t, nil)
+	return t, nil
 }
 
 // PutTrace installs a pre-generated trace under a benchmark name, so
@@ -230,9 +240,8 @@ func (s *Suite) Trace(name string) (*traffic.Trace, error) {
 func (s *Suite) PutTrace(name string, t *traffic.Trace) {
 	s.mu.Lock()
 	if _, ok := s.traces[name]; !ok {
-		f := newFlight[*traffic.Trace]()
-		f.v = t
-		close(f.done)
+		f := NewFlight[*traffic.Trace]()
+		f.Finish(t, nil)
 		s.traces[name] = f
 	}
 	s.mu.Unlock()
@@ -315,7 +324,7 @@ func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
 	s.mu.Lock()
 	f, ok := s.datasets[key]
 	if !ok {
-		f = newFlight[*ml.Dataset]()
+		f = NewFlight[*ml.Dataset]()
 		s.datasets[key] = f
 		s.harvests++
 	}
@@ -324,16 +333,16 @@ func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
 		if !wait {
 			return nil, nil
 		}
-		return f.wait()
+		return f.Wait()
 	}
-	f.v, f.err = s.harvest(key)
-	if f.err != nil {
+	d, err := s.harvest(key)
+	if err != nil {
 		s.mu.Lock()
 		delete(s.datasets, key)
 		s.mu.Unlock()
 	}
-	close(f.done)
-	return f.v, f.err
+	f.Finish(d, err)
+	return d, err
 }
 
 // harvest runs the reactive variant of key.kind over key.trace and

@@ -24,7 +24,7 @@ func (s *Suite) harvestCount() int {
 func waitersParked() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("core.(*flight[...]).wait("))
+	return bytes.Count(buf, []byte("core.(*Flight[...]).Wait("))
 }
 
 // TestConcurrentTrainHarvestsOnce pins the claim-then-wait harvest: four
@@ -72,7 +72,7 @@ func TestConcurrentTrainHarvestsOnce(t *testing.T) {
 	// harvest blocks inside Trace while the other three wait on its
 	// harvest entry; release it once all four are parked.
 	const bogus = "nosuch"
-	tf := newFlight[*traffic.Trace]()
+	tf := NewFlight[*traffic.Trace]()
 	s.mu.Lock()
 	s.traces[bogus] = tf
 	s.mu.Unlock()
@@ -94,8 +94,7 @@ func TestConcurrentTrainHarvestsOnce(t *testing.T) {
 	delete(s.traces, bogus)
 	s.mu.Unlock()
 	unavailable := errors.New("trace unavailable")
-	tf.err = unavailable
-	close(tf.done)
+	tf.Finish(nil, unavailable)
 	wg.Wait()
 	for i, err := range errs {
 		if !errors.Is(err, unavailable) {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/router"
-	"repro/internal/topology"
 )
 
 // delivery is a completed packet awaiting its sink callback (and pool
@@ -77,8 +76,7 @@ func (l *lane) unsecure(routerID int) {
 // the securing claim on that router (the packet now fully resides there,
 // so its buffers keep it awake).
 func (l *lane) land(dst, inPort, vc int, f *flit.Flit) {
-	out, nn, _ := topology.Lookahead(l.n.Topo, dst, f.Pkt.DstCore)
-	f.OutPort, f.NextRouter = out, nn
+	f.OutPort, f.NextRouter = l.n.wiring.lookahead(dst, f.Pkt.DstCore)
 	l.n.Routers[dst].AcceptFlit(l, inPort, vc, f)
 	if f.Tail {
 		l.unsecure(dst)
@@ -131,8 +129,7 @@ func (l *lane) injectCore(r *router.Router, core, localPort int) {
 	}
 	f := st.flits[st.nextSeq]
 	// Look-ahead route for this router.
-	out, next, _ := topology.Lookahead(n.Topo, r.ID, f.Pkt.DstCore)
-	f.OutPort, f.NextRouter = out, next
+	f.OutPort, f.NextRouter = n.wiring.lookahead(r.ID, f.Pkt.DstCore)
 	r.AcceptFlit(l, localPort, st.vc, f)
 	l.dFlitsInjected++
 	st.nextSeq++
@@ -157,11 +154,11 @@ func (l *lane) injectCore(r *router.Router, core, localPort int) {
 // concurrent — see the quiet-margin predicate in sim).
 func (l *lane) ForwardFlit(r *router.Router, outPort, outVC int, f *flit.Flit) {
 	n := l.n
-	next := n.Topo.Neighbor(r.ID, outPort)
+	next := n.wiring.neighbor(r.ID, outPort)
 	if next < 0 {
 		panic(fmt.Sprintf("network: router %d forwarded out of edge port %d", r.ID, outPort))
 	}
-	inPort := topology.OppositePort(n.Topo, outPort)
+	inPort := int(n.wiring.opp[outPort])
 	if n.linkTicks == 0 {
 		l.land(next, inPort, outVC, f)
 		return
@@ -179,7 +176,7 @@ func (l *lane) EjectFlit(r *router.Router, localPort int, f *flit.Flit) {
 		l.pool.PutFlit(f)
 		return
 	}
-	core := l.n.Topo.CoreAt(r.ID, localPort)
+	core := r.ID*l.n.wiring.conc + localPort
 	p := f.Pkt
 	l.pool.PutFlit(f)
 	p.Ejected = l.n.now
@@ -196,17 +193,18 @@ func (l *lane) CreditFreed(r *router.Router, inPort, vc int) {
 	if r.IsLocalPort(inPort) {
 		return
 	}
-	up := l.n.Topo.Neighbor(r.ID, inPort)
+	w := &l.n.wiring
+	up := w.neighbor(r.ID, inPort)
 	if up < 0 {
 		panic(fmt.Sprintf("network: credit from edge port %d of router %d", inPort, r.ID))
 	}
-	l.n.Routers[up].Credit(topology.OppositePort(l.n.Topo, inPort), vc)
+	l.n.Routers[up].Credit(int(w.opp[inPort]), vc)
 }
 
 // CanForward gates transmission on the downstream router being able to
 // accept flits (active, not switching).
 func (l *lane) CanForward(r *router.Router, outPort int) bool {
-	next := l.n.Topo.Neighbor(r.ID, outPort)
+	next := l.n.wiring.neighbor(r.ID, outPort)
 	if next < 0 {
 		return false
 	}

@@ -83,6 +83,10 @@ type Network struct {
 	Topo    topology.Topology
 	Routers []*router.Router
 
+	// wiring holds the flat link tables every flit-hop reads (see
+	// wiring.go); immutable after New.
+	wiring wiring
+
 	pv   PowerView
 	sink Sink
 	hop  HopObserver
@@ -153,6 +157,7 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 	cfg := RouterConfig(topo, vcs, depth, pipeline)
 	n := &Network{
 		Topo:        topo,
+		wiring:      newWiring(topo),
 		pv:          pv,
 		sink:        sink,
 		hop:         hop,
@@ -347,13 +352,13 @@ func (n *Network) AcquirePacket(src, dst int, kind flit.Kind, injectAt int64) *f
 // replay, workload ticks, sink callbacks) and updates the aggregates
 // directly rather than through a lane.
 func (n *Network) Inject(p *flit.Packet) {
-	if p.SrcCore < 0 || p.SrcCore >= n.Topo.NumCores() {
+	if p.SrcCore < 0 || p.SrcCore >= len(n.inj) {
 		panic(fmt.Sprintf("network: bad source core %d", p.SrcCore))
 	}
 	st := &n.inj[p.SrcCore]
 	st.queue = append(st.queue, p)
 	n.queuedPackets++
-	r := n.Topo.RouterOf(p.SrcCore)
+	r := n.RouterOf(p.SrcCore)
 	n.secured[r]++
 	n.securedTotal++
 	n.pv.WakeRequest(r)
@@ -421,12 +426,23 @@ func (n *Network) HasQueued() bool { return n.queuedPackets > 0 }
 // path uses it to find routers whose next local cycle would inject,
 // which caps how far time may be skipped.
 func (n *Network) QueuedAtRouter(routerID int) int {
-	c0 := routerID * n.Topo.Concentration()
+	c0 := routerID * n.wiring.conc
 	q := 0
-	for lp := 0; lp < n.Topo.Concentration(); lp++ {
+	for lp := 0; lp < n.wiring.conc; lp++ {
 		q += n.QueuedPackets(c0 + lp)
 	}
 	return q
+}
+
+// RouterOf returns the router core is attached to, from the wiring
+// tables (the same answer as Topo.RouterOf, without an interface call).
+func (n *Network) RouterOf(core int) int { return int(n.wiring.coreRouter[core]) }
+
+// Lookahead is the table form of topology.Lookahead every forwarded flit
+// uses: the output port a packet for dstCore takes at router, and the
+// router it occupies next (-1 if it ejects at router).
+func (n *Network) Lookahead(router, dstCore int) (outPort, nextRouter int) {
+	return n.wiring.lookahead(router, dstCore)
 }
 
 // Secured reports whether a router currently holds securing claims.
@@ -474,8 +490,8 @@ func (n *Network) PoolStats() (hits, misses int64) {
 func (n *Network) CycleRouter(routerID, shard int) {
 	l := &n.lanes[shard]
 	r := n.Routers[routerID]
-	c0 := routerID * n.Topo.Concentration()
-	for lp := 0; lp < n.Topo.Concentration(); lp++ {
+	c0 := routerID * n.wiring.conc
+	for lp := 0; lp < n.wiring.conc; lp++ {
 		l.injectCore(r, c0+lp, lp)
 	}
 	r.Cycle(l)

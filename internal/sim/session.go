@@ -219,13 +219,8 @@ func (s *Session) EstimateLatency(src, dst int, kind flit.Kind) (int64, error) {
 	if src < 0 || src >= cores || dst < 0 || dst >= cores {
 		return 0, fmt.Errorf("sim: estimate cores (%d,%d) outside [0,%d)", src, dst, cores)
 	}
-	t := s.e.cfg.Topo
-	r, last := t.RouterOf(src), t.RouterOf(dst)
-	var hops int64
-	for r != last {
-		r = topology.NextRouter(t, r, dst)
-		hops++
-	}
+	// XY DOR paths are minimal, so the hop count is the Manhattan distance.
+	hops := int64(topology.Hops(s.e.cfg.Topo, src, dst))
 	flits := int64(kind.Flits())
 	est := (hops + 1) * int64(s.e.cfg.Pipeline)
 	est += hops * s.e.cfg.LinkTicks

@@ -197,3 +197,31 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatal("drain after Close accepted")
 	}
 }
+
+// TestEstimateLatencyMatchesPathWalk: the estimate's hop count is the
+// Manhattan distance, which must equal walking the XY path router by
+// router, for every (src, dst) pair and both packet sizes.
+func TestEstimateLatencyMatchesPathWalk(t *testing.T) {
+	for _, topo := range []topology.Topology{topology.NewMesh(8, 8), topology.NewCMesh(4, 4)} {
+		const pipeline, linkTicks = 3, 2
+		sess, err := sim.NewSession(sim.Config{Topo: topo, Spec: policy.Baseline(), Pipeline: pipeline, LinkTicks: linkTicks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < topo.NumCores(); src++ {
+			for dst := 0; dst < topo.NumCores(); dst++ {
+				var hops int64
+				for r := topo.RouterOf(src); r != topo.RouterOf(dst); r = topology.NextRouter(topo, r, dst) {
+					hops++
+				}
+				for _, kind := range []flit.Kind{flit.Request, flit.Response} {
+					want := (hops+1)*pipeline + hops*linkTicks + int64(kind.Flits()) - 1
+					if got, err := sess.EstimateLatency(src, dst, kind); err != nil || got != want {
+						t.Fatalf("%s: estimate(%d, %d, %v) = (%d, %v), want %d", topo.Name(), src, dst, kind, got, err, want)
+					}
+				}
+			}
+		}
+		sess.Close()
+	}
+}

@@ -1430,9 +1430,8 @@ func (e *engine) finish() {
 // horizon are woken one hop ahead as the head flit advances, which makes
 // the scheme partially rather than fully non-blocking.
 func (e *engine) punchPath(srcCore, dstCore int) {
-	t := e.cfg.Topo
-	r := t.RouterOf(srcCore)
-	last := t.RouterOf(dstCore)
+	r := e.net.RouterOf(srcCore)
+	last := e.net.RouterOf(dstCore)
 	hops := e.cfg.PunchHops
 	for {
 		e.WakeRequest(r)
@@ -1445,7 +1444,7 @@ func (e *engine) punchPath(srcCore, dstCore int) {
 				return
 			}
 		}
-		r = topology.NextRouter(t, r, dstCore)
+		_, r = e.net.Lookahead(r, dstCore)
 	}
 }
 

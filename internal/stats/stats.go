@@ -7,7 +7,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -17,15 +17,23 @@ func Percentile(values []int64, p float64) int64 {
 	if len(values) == 0 {
 		return 0
 	}
+	return nearestRank(sortedCopy(values), p)
+}
+
+func sortedCopy(values []int64) []int64 {
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// nearestRank reads the p-th percentile off a non-empty sorted slice.
+func nearestRank(sorted []int64, p float64) int64 {
 	if p < 0 {
 		p = 0
 	}
 	if p > 100 {
 		p = 100
 	}
-	sorted := make([]int64, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	rank := int(p/100*float64(len(sorted))+0.5) - 1
 	if rank < 0 {
 		rank = 0
@@ -60,9 +68,11 @@ func Summarize(values []int64) LatencySummary {
 		}
 	}
 	s.Mean = float64(sum) / float64(len(values))
-	s.P50 = Percentile(values, 50)
-	s.P95 = Percentile(values, 95)
-	s.P99 = Percentile(values, 99)
+	// One sorted copy serves all three ranks.
+	sorted := sortedCopy(values)
+	s.P50 = nearestRank(sorted, 50)
+	s.P95 = nearestRank(sorted, 95)
+	s.P99 = nearestRank(sorted, 99)
 	return s
 }
 

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,6 +66,33 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.Count != 0 || empty.Mean != 0 {
 		t.Error("empty summary wrong")
+	}
+}
+
+// TestSummarizeMatchesPercentile: Summarize sorts once and reads three
+// ranks, which must agree with three independent Percentile calls on any
+// population — single values, heavy duplicates and wide spreads alike.
+func TestSummarizeMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(300)
+		if i%4 == 0 {
+			n = 1
+		}
+		spread := int64(1) << uint(rng.Intn(40)) // 1 => every value equal
+		v := make([]int64, n)
+		for j := range v {
+			v[j] = rng.Int63n(spread) - spread/2
+		}
+		orig := append([]int64(nil), v...)
+		s := Summarize(v)
+		if s.P50 != Percentile(v, 50) || s.P95 != Percentile(v, 95) || s.P99 != Percentile(v, 99) {
+			t.Fatalf("population %v: summary p50/p95/p99 = %d/%d/%d, Percentile gives %d/%d/%d",
+				v, s.P50, s.P95, s.P99, Percentile(v, 50), Percentile(v, 95), Percentile(v, 99))
+		}
+		if !slices.Equal(v, orig) {
+			t.Fatal("Summarize reordered its input")
+		}
 	}
 }
 

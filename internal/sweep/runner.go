@@ -50,6 +50,11 @@ func (r *Report) Done() bool { return r.Resumed+r.Written == r.Total }
 // torn final line is truncated away first; the bytes ultimately on disk
 // are identical to an uninterrupted job's.
 func RunJob(spec *Spec, outPath string, opt Options) (*Report, error) {
+	return newRunner(spec).runJob(spec, outPath, opt)
+}
+
+// runJob is RunJob against r's caches.
+func (r *runner) runJob(spec *Spec, outPath string, opt Options) (*Report, error) {
 	runs, err := spec.Expand()
 	if err != nil {
 		return nil, err
@@ -105,7 +110,6 @@ func RunJob(spec *Spec, outPath string, opt Options) (*Report, error) {
 		workers = n
 	}
 
-	r := newRunner(spec)
 	type outcome struct {
 		idx int
 		row Row
@@ -219,14 +223,14 @@ type runner struct {
 
 	mu     sync.Mutex
 	groups map[suiteKey]*core.Suite
-	traces map[traceKey]*traffic.Trace
+	traces map[traceKey]*core.Flight[*traffic.Trace]
 }
 
 func newRunner(spec *Spec) *runner {
 	return &runner{
 		spec:   spec.withDefaults(),
 		groups: make(map[suiteKey]*core.Suite),
-		traces: make(map[traceKey]*traffic.Trace),
+		traces: make(map[traceKey]*core.Flight[*traffic.Trace]),
 	}
 }
 
@@ -297,25 +301,34 @@ func (r *runner) suiteFor(run *Run) (*core.Suite, error) {
 
 // shareTrace makes the run's base trace visible to its suite, so the many
 // suites (different epochs, lambdas, punch settings) that replay one
-// (topo, seed, bench) workload share a single generated trace. Within a
-// suite, concurrent first calls generate it once (Suite.Trace).
+// (topo, seed, bench) workload share a single generated trace. The first
+// run to ask claims the job-wide entry and generates the trace through
+// its own suite; every other run, of any suite, waits for it, so suites
+// that miss at the same moment still generate it once. A failed
+// generation leaves the cache, and a later run retries it.
 func (r *runner) shareTrace(s *core.Suite, run *Run) error {
 	key := traceKey{topo: run.Topo, seed: run.Seed, bench: run.Bench}
 	r.mu.Lock()
-	tr, ok := r.traces[key]
+	f, ok := r.traces[key]
+	if !ok {
+		f = core.NewFlight[*traffic.Trace]()
+		r.traces[key] = f
+	}
 	r.mu.Unlock()
 	if ok {
+		tr, err := f.Wait()
+		if err != nil {
+			return err
+		}
 		s.PutTrace(run.Bench, tr)
 		return nil
 	}
 	tr, err := s.Trace(run.Bench)
 	if err != nil {
-		return err
+		r.mu.Lock()
+		delete(r.traces, key)
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	if _, ok := r.traces[key]; !ok {
-		r.traces[key] = tr
-	}
-	r.mu.Unlock()
-	return nil
+	f.Finish(tr, err)
+	return err
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 // testSpec is a small but multi-axis matrix: 2 models x 2 benches x
@@ -350,5 +352,39 @@ func TestSweepCompare(t *testing.T) {
 	WriteCompare(&buf, out, "edp", "baseline")
 	if !strings.Contains(buf.String(), "~") || !strings.Contains(buf.String(), "(base)") {
 		t.Errorf("table output:\n%s", buf.String())
+	}
+}
+
+// TestSweepGeneratesSharedTraceOnce: two epoch groups are two suites
+// replaying one (topo, seed, bench) trace. With two workers their first
+// runs miss the job-wide trace cache at the same moment; the in-flight
+// entry must still make them generate it once, so both suites end up
+// holding the same trace object.
+func TestSweepGeneratesSharedTraceOnce(t *testing.T) {
+	spec := &Spec{
+		Topos:      []string{"mesh4x4"},
+		Models:     []string{"baseline"},
+		Benches:    []string{"fft"},
+		EpochTicks: []int64{500, 1000},
+		Horizon:    3_000,
+	}
+	r := newRunner(spec)
+	rep, err := r.runJob(spec, filepath.Join(t.TempDir(), "r.jsonl"), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Done() || len(r.groups) != 2 {
+		t.Fatalf("report %+v over %d suites, want a finished job over 2", rep, len(r.groups))
+	}
+	generated := map[*traffic.Trace]bool{}
+	for _, s := range r.groups {
+		tr, err := s.Trace("fft")
+		if err != nil {
+			t.Fatal(err)
+		}
+		generated[tr] = true
+	}
+	if len(generated) != 1 {
+		t.Fatalf("the shared trace was generated %d times, want 1", len(generated))
 	}
 }

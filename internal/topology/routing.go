@@ -40,17 +40,16 @@ func NextRouter(t Topology, router, dstCore int) int {
 }
 
 // Lookahead computes, for a packet at router headed to dstCore, the output
-// port here, the downstream router (-1 if ejecting), and the output port
-// the packet will take at the downstream router (-1 if ejecting here).
-// This is the look-ahead route-compute unit of the router pipeline.
-func Lookahead(t Topology, router, dstCore int) (outPort, nextRouter, nextOutPort int) {
+// port here and the downstream router (-1 if ejecting). This is the
+// look-ahead route-compute unit of the router pipeline: the downstream
+// router is known one hop in advance, so it can be secured and punched
+// awake before the packet leaves.
+func Lookahead(t Topology, router, dstCore int) (outPort, nextRouter int) {
 	outPort = Route(t, router, dstCore)
 	if IsLocalPort(t, outPort) {
-		return outPort, -1, -1
+		return outPort, -1
 	}
-	nextRouter = t.Neighbor(router, outPort)
-	nextOutPort = Route(t, nextRouter, dstCore)
-	return outPort, nextRouter, nextOutPort
+	return outPort, t.Neighbor(router, outPort)
 }
 
 // Path returns the ordered router sequence a packet visits from srcCore to

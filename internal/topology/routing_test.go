@@ -84,17 +84,14 @@ func TestLookaheadConsistency(t *testing.T) {
 			src := int(a) % topo.NumCores()
 			dst := int(b) % topo.NumCores()
 			r := topo.RouterOf(src)
-			out, next, nextOut := Lookahead(topo, r, dst)
+			out, next := Lookahead(topo, r, dst)
 			if out != Route(topo, r, dst) {
 				return false
 			}
 			if IsLocalPort(topo, out) {
-				return next == -1 && nextOut == -1
+				return next == -1
 			}
-			if next != topo.Neighbor(r, out) {
-				return false
-			}
-			return nextOut == Route(topo, next, dst)
+			return next == topo.Neighbor(r, out) && next == NextRouter(topo, r, dst)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatalf("%s: %v", topo.Name(), err)
