@@ -31,15 +31,18 @@ race:
 # tick engine's bit-exactness proofs (DESIGN.md §5c-5d) under the race
 # detector — concurrent sweeps plus the destination-shard wire-landing
 # path under banded and randomized heavy traffic — fast enough to fail a
-# sharding bug before the full race sweep runs. The cosim daemon's
+# sharding bug before the full race sweep runs. The claim barrier's own
+# tests ride first: the park-handshake interleavings and a Session stress
+# run that alternates parked and polling workers at GOMAXPROCS 1 and 2.
+# The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
 # are the multiplexing layer's race gate. The suite's claim-then-wait
 # harvest tests (DESIGN.md §5i) ride along too, next to the sweep job
 # tests, which train ML models from several workers at once.
 race-sharded:
-	$(GO) test -race -run 'TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|TestActiveSetEquivalence|TestRetile|TestHorizonEquivalence' ./internal/sim
+	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|TestActiveSetEquivalence|TestRetile|TestHorizonEquivalence' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
-	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel' ./internal/core
+	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
 # Protocol fuzz smoke: run the cosim frame-decoder fuzz target for 10s

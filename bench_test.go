@@ -493,10 +493,12 @@ func bandTrace(topo topology.Topology, horizon int64, bandRows []int, rowsPerBan
 
 // BenchmarkBigMesh measures sharded concurrent sweeps on a 16x32 mesh
 // (512 routers) where four distant row bands stay busy at once. The
-// shards=1 sub-benchmark is the serial reference. On a multi-core host
-// shards=4 should approach the sweep's Amdahl ceiling (profiling puts
-// ~96% of serial time inside the partitionable sweep, so ~3.8x at four
-// shards); on a single-core host (GOMAXPROCS=1) the same numbers
+// shards=1 sub-benchmark is the serial reference. On a 2-CPU Xeon host
+// (go1.24, GOMAXPROCS 2; medians of six interleaved 3-iteration runs)
+// shards=2 took ~0.48 s/op against ~0.6-0.7 s/op at shards=1. The
+// channel-and-WaitGroup dispatch that the claim barrier replaced took
+// ~0.99 s/op at shards=2, slower than serial, because both shards ran
+// on one CPU. On a single-core host (GOMAXPROCS=1) the same numbers
 // measure the two-phase staging overhead instead, since the concurrent
 // sweeps can only interleave.
 func BenchmarkBigMesh(b *testing.B) {

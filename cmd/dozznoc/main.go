@@ -41,7 +41,7 @@ func main() {
 		series     = flag.String("series", "", "write a per-epoch time-series CSV to this file")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
 		shards     = flag.Int("shards", 0, "tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-		shardsMin  = flag.Int("shard-min-active", 0, "sharded engine's serial-fallback threshold in active routers (0 = calibrate from a measured dispatch/barrier round-trip at startup; -1 = always attempt the concurrent sweep; results are bit-identical)")
+		shardsMin  = flag.Int("shard-min-active", 0, fmt.Sprintf("sharded engine's serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		rtTrace    = flag.String("runtimetrace", "", "write a Go execution trace (go tool trace) to this file")

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cosim"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "sessions allowed to advance simulated time concurrently (0 = GOMAXPROCS)")
 		maxSessions = flag.Int("max-sessions", 0, "max open sessions per connection (0 = default 16)")
 		retryMS     = flag.Int64("retry-after-ms", 0, "retry hint attached to busy replies (0 = default 5)")
-		shardsMin   = flag.Int("shard-min-active", 0, "per-session sharded serial-fallback threshold in active routers (0 = calibrate from a measured dispatch/barrier round-trip; -1 = always attempt the concurrent sweep; results are bit-identical)")
+		shardsMin   = flag.Int("shard-min-active", 0, fmt.Sprintf("per-session sharded serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 		obsAddr     = flag.String("obs-addr", "", "serve live expvar/pprof observability on this address (e.g. localhost:6060)")
 		traceOut    = flag.String("trace-out", "", "write engine-phase spans as a Perfetto/chrome://tracing JSONL file (stdio mode only)")
 		traceWin    = flag.Int64("trace-window", 0, "keep only the trailing N base ticks of the phase trace (0 = everything)")

@@ -19,6 +19,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/mcsim"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -34,7 +35,7 @@ type runConfig struct {
 	csvDir    string
 	parallel  bool
 	shards    int // per-simulation tick-engine shards (0 = auto)
-	shardsMin int // sharded serial-fallback threshold (0 = calibrate at startup)
+	shardsMin int // sharded serial-fallback threshold (0 = sim.DefaultShardMinActive)
 	meshW     int // mesh dimensions (default 8x8)
 	meshH     int
 	obsAddr   string          // live expvar/pprof endpoint address ("" = off)
@@ -59,7 +60,7 @@ func main() {
 	flag.StringVar(&rc.csvDir, "csv", "", "also write machine-readable CSVs for fig7/fig8/fig9/headline into this directory")
 	flag.BoolVar(&rc.parallel, "parallel", false, "run independent simulations on a worker pool (identical results, less wall-clock)")
 	flag.IntVar(&rc.shards, "shards", 0, "per-simulation tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-	flag.IntVar(&rc.shardsMin, "shard-min-active", 0, "sharded engine's serial-fallback threshold in active routers (0 = calibrate from a measured dispatch/barrier round-trip at startup; -1 = always attempt the concurrent sweep; results are bit-identical)")
+	flag.IntVar(&rc.shardsMin, "shard-min-active", 0, fmt.Sprintf("sharded engine's serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&rtTrace, "runtimetrace", "", "write a Go execution trace (go tool trace) to this file")

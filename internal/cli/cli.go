@@ -52,10 +52,9 @@ func ParseShards(n int) (int, error) {
 	return n, nil
 }
 
-// ParseShardMinActive validates a -shard-min-active flag value: 0 lets
-// the engine calibrate the serial-fallback threshold from a measured
-// worker dispatch/barrier round-trip at startup, positive values pin
-// the threshold, and -1 disables the fallback so every quiet-margin
+// ParseShardMinActive validates a -shard-min-active flag value: 0 selects
+// the engine's default serial-fallback threshold
+// (sim.DefaultShardMinActive), positive values pin the threshold, and -1 disables the fallback so every quiet-margin
 // tick attempts the concurrent sweep. Anything below -1 is rejected as
 // a likely typo — all negatives mean the same thing to the engine, so
 // there is no reason to write one deliberately.

@@ -92,15 +92,16 @@ type Options struct {
 	// Shards is the per-simulation tick-engine shard count (sim.Config
 	// Shards): 0 auto-sizes to min(GOMAXPROCS, NumCPU, mesh rows) —
 	// serial on a single-CPU host — and 1 forces the serial sweep.
-	// Bit-identical results for any value.
+	// Simulations run by the across-run pools (CompareParallel,
+	// HarvestParallel, TrainAllParallel) resolve 0 to 1 instead: the
+	// pool already uses the CPUs. Bit-identical results for any value.
 	Shards int
 
 	// ShardMinActive is the sharded engine's serial-fallback threshold
-	// (sim.Config.ShardMinActive): 0 derives it from a measured worker
-	// dispatch/barrier round-trip at engine construction, positive values
-	// pin it, and negative values make every quiet-margin tick attempt
-	// the concurrent sweep. Scheduling-only; results are bit-identical
-	// for any value.
+	// (sim.Config.ShardMinActive): 0 selects sim.DefaultShardMinActive,
+	// positive values pin it, and negative values make every quiet-margin
+	// tick attempt the concurrent sweep. Scheduling-only; results are
+	// bit-identical for any value.
 	ShardMinActive int
 
 	// PunchHops and NoPathPunch forward the injection-time wake-punch
@@ -312,15 +313,16 @@ func (s *Suite) Spec(kind ModelKind) (policy.Spec, error) {
 // the reactive variant of kind over the named benchmark trace. If another
 // goroutine is already harvesting it, Dataset waits for that harvest.
 func (s *Suite) Dataset(kind ModelKind, trace string) (*ml.Dataset, error) {
-	return s.dataset(datasetKey{kind, trace}, true)
+	return s.dataset(datasetKey{kind, trace}, true, s.Opts.Shards)
 }
 
 // dataset returns key's dataset, harvesting it if no goroutine has
 // started that harvest yet. If one has, it waits for the result when
-// wait is set and returns (nil, nil) at once otherwise. The harvest runs
+// wait is set and returns (nil, nil) at once otherwise. A harvest started
+// here sweeps with the given shard count. The harvest runs
 // without holding s.mu and never waits on another harvest, so waiting on
 // an in-flight one cannot deadlock.
-func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
+func (s *Suite) dataset(key datasetKey, wait bool, shards int) (*ml.Dataset, error) {
 	s.mu.Lock()
 	f, ok := s.datasets[key]
 	if !ok {
@@ -335,7 +337,7 @@ func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
 		}
 		return f.Wait()
 	}
-	d, err := s.harvest(key)
+	d, err := s.harvest(key, shards)
 	if err != nil {
 		s.mu.Lock()
 		delete(s.datasets, key)
@@ -345,9 +347,9 @@ func (s *Suite) dataset(key datasetKey, wait bool) (*ml.Dataset, error) {
 	return d, err
 }
 
-// harvest runs the reactive variant of key.kind over key.trace and
-// returns the dataset it collected.
-func (s *Suite) harvest(key datasetKey) (*ml.Dataset, error) {
+// harvest runs the reactive variant of key.kind over key.trace with the
+// given shard count and returns the dataset it collected.
+func (s *Suite) harvest(key datasetKey, shards int) (*ml.Dataset, error) {
 	t, err := s.Trace(key.trace)
 	if err != nil {
 		return nil, err
@@ -361,7 +363,7 @@ func (s *Suite) harvest(key datasetKey) (*ml.Dataset, error) {
 		Pipeline:       s.Opts.Pipeline,
 		LinkTicks:      s.Opts.LinkTicks,
 		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         s.Opts.Shards,
+		Shards:         shards,
 		ShardMinActive: s.Opts.ShardMinActive,
 		PunchHops:      s.Opts.PunchHops,
 		NoPathPunch:    s.Opts.NoPathPunch,
@@ -418,7 +420,7 @@ func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 		return nil, fmt.Errorf("core: %v has no trained model", kind)
 	}
 	for _, name := range trainingTraces() {
-		if _, err := s.dataset(datasetKey{kind, name}, false); err != nil {
+		if _, err := s.dataset(datasetKey{kind, name}, false, s.Opts.Shards); err != nil {
 			return nil, err
 		}
 	}
@@ -607,6 +609,18 @@ func (c *Comparison) Relatives() []Relative {
 	return out
 }
 
+// pooledShards is the shard count of a simulation launched by one of the
+// suite's across-run pools (CompareParallel, HarvestParallel). The pool
+// already keeps every CPU busy, so auto sharding (0) resolves to the
+// serial sweep there: a sharded run's workers would only spin against
+// sibling runs. An explicit count is kept.
+func (s *Suite) pooledShards() int {
+	if s.Opts.Shards == 0 {
+		return 1
+	}
+	return s.Opts.Shards
+}
+
 // HarvestParallel pre-populates the reactive datasets of the given ML
 // kinds over the given traces using up to GOMAXPROCS goroutines; each
 // harvest is an independent, deterministic simulation. Every goroutine
@@ -622,7 +636,7 @@ func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
 			defer wg.Done()
 			for _, k := range kinds {
 				for _, tr := range traces {
-					s.dataset(datasetKey{k, tr}, false) // a failure resurfaces below
+					s.dataset(datasetKey{k, tr}, false, s.pooledShards()) // a failure resurfaces below
 				}
 			}
 		}()
@@ -676,7 +690,7 @@ func (s *Suite) CompareParallel(bench string, factor int64) (*Comparison, error)
 				Pipeline:       s.Opts.Pipeline,
 				LinkTicks:      s.Opts.LinkTicks,
 				EpochTicks:     s.Opts.EpochTicks,
-				Shards:         s.Opts.Shards,
+				Shards:         s.pooledShards(),
 				ShardMinActive: s.Opts.ShardMinActive,
 				PunchHops:      s.Opts.PunchHops,
 				NoPathPunch:    s.Opts.NoPathPunch,

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/ml"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -253,6 +257,83 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 		if a.Ticks != b.Ticks || a.StaticJ != b.StaticJ || a.DynamicJ != b.DynamicJ ||
 			a.PacketsDelivered != b.PacketsDelivered {
 			t.Fatalf("%v: parallel result diverged (%d vs %d ticks)", k, a.Ticks, b.Ticks)
+		}
+	}
+}
+
+// bandedTrace keeps the top two and bottom two router rows exchanging
+// row-local traffic while every other row stays silent, so every shard
+// boundary margin stays inert and a sharded run sweeps concurrently on
+// nearly every tick.
+func bandedTrace(topo topology.Topology, horizon int64) *traffic.Trace {
+	width, rows := topo.Width(), topo.Height()
+	band := func(row0 int) []int {
+		var cores []int
+		for row := row0; row < row0+2; row++ {
+			for x := 0; x < width; x++ {
+				cores = append(cores, topo.CoreAt(topo.RouterAt(x, row), 0))
+			}
+		}
+		return cores
+	}
+	top, bottom := band(0), band(rows-2)
+	tr := &traffic.Trace{Name: "banded", Cores: topo.NumCores(), Horizon: horizon}
+	for t, i := int64(0), 0; t < horizon; t, i = t+2, i+1 {
+		tr.Entries = append(tr.Entries,
+			traffic.Entry{Time: t, Src: top[i%len(top)], Dst: top[(i+3)%len(top)], Kind: flit.Request},
+			traffic.Entry{Time: t, Src: bottom[i%len(bottom)], Dst: bottom[(i+5)%len(bottom)], Kind: flit.Request})
+	}
+	return tr
+}
+
+// zeroDiagnostics clears the Result fields that describe how a run was
+// scheduled rather than what it computed.
+func zeroDiagnostics(r *sim.Result) {
+	r.FastForwardedTicks = 0
+	r.HorizonSkippedTicks = 0
+	r.LazySkippedRouterTicks = 0
+	r.ParallelTicks = 0
+	r.ParallelLandings = 0
+	r.ShardLoad = nil
+	r.ShardLoadImbalance = 0
+	r.ShardResplits = 0
+}
+
+// TestCompareParallelRunsUnsharded checks that the across-run pool does
+// not nest intra-run sharding under auto sizing: on banded traffic where
+// a sharded sweep engages on nearly every tick, every pooled run must
+// sweep serially, and still match the sequential Compare exactly.
+func TestCompareParallelRunsUnsharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parallel comparison in -short mode")
+	}
+	topo := topology.NewMesh(8, 16)
+	s := NewSuite(topo, Options{Horizon: 8000, Seed: 3, ShardMinActive: -1})
+	s.PutTrace("banded", bandedTrace(topo, 8000))
+	for _, k := range MLKinds {
+		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
+	}
+	seq, err := s.Compare("banded", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := s.CompareParallel("banded", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	autoSharded := min(runtime.GOMAXPROCS(0), runtime.NumCPU()) > 1
+	for _, k := range AllKinds {
+		a, b := seq.Results[k], par.Results[k]
+		if autoSharded && a.ParallelTicks == 0 {
+			t.Errorf("%v: the sequential run never swept concurrently; the check below would be vacuous", k)
+		}
+		if b.ParallelTicks != 0 {
+			t.Errorf("%v: pooled run swept %d ticks concurrently", k, b.ParallelTicks)
+		}
+		zeroDiagnostics(a)
+		zeroDiagnostics(b)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: pooled result differs from the sequential one", k)
 		}
 	}
 }

@@ -175,7 +175,9 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 
 // TestParallelOptionMatchesSequential pins that Options.Parallel is
 // purely a scheduling choice: Compare on a parallel suite produces
-// deeply equal results to a sequential one.
+// deeply equal results to a sequential one. The scheduling diagnostics
+// are zeroed first: pooled runs sweep serially under auto sharding, so
+// their shard counts legitimately differ.
 func TestParallelOptionMatchesSequential(t *testing.T) {
 	build := func(parallel bool) *Suite {
 		s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3, Parallel: parallel})
@@ -191,6 +193,11 @@ func TestParallelOptionMatchesSequential(t *testing.T) {
 	par, err := build(true).Compare("fft", 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []*Comparison{seq, par} {
+		for _, r := range c.Results {
+			zeroDiagnostics(r)
+		}
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel comparison differs from sequential:\nseq: %+v\npar: %+v", seq, par)

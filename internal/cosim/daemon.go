@@ -38,11 +38,11 @@ type Options struct {
 	// RetryAfterMS is the hint attached to CodeBusy replies (default 5).
 	RetryAfterMS int64
 	// ShardMinActive is applied to every session's engine
-	// (sim.Config.ShardMinActive): 0 calibrates the sharded engine's
-	// serial-fallback threshold from a measured dispatch/barrier
-	// round-trip, positive values pin it, negatives disable the
-	// fallback. Scheduling-only — session results are bit-identical
-	// for any value.
+	// (sim.Config.ShardMinActive): 0 selects the sharded engine's
+	// default serial-fallback threshold (sim.DefaultShardMinActive),
+	// positive values pin it, negatives disable the fallback.
+	// Scheduling-only — session results are bit-identical for any
+	// value.
 	ShardMinActive int
 	// Observer, when non-nil, is attached to every session the daemon
 	// opens — engine metrics fold into its Metrics and phase spans into

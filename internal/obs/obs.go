@@ -195,8 +195,8 @@ func (s *Snapshot) WakeStallTicks() int64 { return s.ResidencyTicks[1] }
 // Deterministic returns a copy with every field that can differ between
 // reruns of the same configuration zeroed: wall-clock rates, the
 // Metrics bind count, and the scheduling diagnostics that depend on the
-// shard count, the runtime-calibrated ShardMinActive threshold, or
-// worker timing. What remains — event totals, residency, prediction
+// shard count (which auto sizing derives from the host's CPUs), the
+// ShardMinActive threshold, or worker timing. What remains — event totals, residency, prediction
 // accuracy, epoch count — is bit-exact for a given run configuration,
 // which is what lets the sweep orchestrator embed an epoch-fold capture
 // in result rows that must be byte-identical across resumed and

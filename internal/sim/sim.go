@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/flit"
@@ -37,13 +38,9 @@ const (
 	DefaultPipeline   = 3
 	DefaultEpochTicks = 500
 	DefaultPunchHops  = -1
-	// DefaultShardMinActive is the fallback active-set size below which a
-	// sharded engine sweeps serially: with few routers scheduled, barrier
-	// cost dominates any concurrency win. ShardMinActive=0 normally
-	// derives the threshold from a barrier round-trip measured at engine
-	// startup (calibratedShardMinActive); this constant is used when that
-	// measurement is unavailable (single shard) and anchors the clamp
-	// range around it.
+	// DefaultShardMinActive is the active-set size below which a sharded
+	// engine sweeps serially (ShardMinActive = 0 selects it): with few
+	// routers scheduled, the barrier costs more than the overlap saves.
 	DefaultShardMinActive = 32
 )
 
@@ -118,10 +115,8 @@ type Config struct {
 	// defeating the boundary-margin isolation argument).
 	Shards int
 	// ShardMinActive is the minimum active-set size before a tick is
-	// swept concurrently (barrier cost dominates below it). 0 derives
-	// the threshold from a barrier round-trip measured at engine startup
-	// (clamped to [16, 128]; DefaultShardMinActive when the measurement
-	// is unavailable); positive pins it; negative means 1 (always
+	// swept concurrently (barrier cost dominates below it). 0 selects
+	// DefaultShardMinActive; positive pins it; negative means 1 (always
 	// attempt), which the equivalence tests use to maximize parallel
 	// coverage on small meshes. The threshold only gates scheduling, so
 	// results are bit-identical for any value.
@@ -255,15 +250,7 @@ func (c *Config) applyDefaults() error {
 		c.Shards = 1
 	}
 	if c.ShardMinActive == 0 {
-		if c.Shards > 1 {
-			// Derive the serial-fallback threshold from a measured
-			// barrier round-trip (see calibratedShardMinActive): the
-			// fixed default under- or over-gates depending on how
-			// expensive this host's wakeup/park cycle actually is.
-			c.ShardMinActive = calibratedShardMinActive(c.Shards)
-		} else {
-			c.ShardMinActive = DefaultShardMinActive
-		}
+		c.ShardMinActive = DefaultShardMinActive
 	} else if c.ShardMinActive < 0 {
 		c.ShardMinActive = 1
 	}
@@ -411,10 +398,11 @@ func (r *Result) TotalJ() float64 { return r.StaticJ + r.DynamicJ }
 type span struct{ lo, hi int }
 
 // shardState is one contiguous row-aligned partition of the router ID
-// space. Every field is owned by the shard: during a concurrent sweep
-// only the shard's goroutine touches it (the boundary-isolation predicate
-// guarantees no cross-shard calls), and outside sweeps the engine
-// goroutine owns everything.
+// space. Every field but the claim barrier's atomics is owned by the
+// shard: during a concurrent sweep only the goroutine that claimed the
+// shard touches it (the boundary-isolation predicate guarantees no
+// cross-shard calls), and outside sweeps the engine goroutine owns
+// everything.
 type shardState struct {
 	lo, hi int // router ID range [lo, hi)
 
@@ -441,7 +429,11 @@ type shardState struct {
 	armT []int64
 	armR []int32
 
-	work chan int64 // parallel sweep trigger; nil until workers start
+	// Claim barrier state (barrier.go): claimed is reset by the engine
+	// for each concurrent tick and won by whichever goroutine sweeps the
+	// shard; park is the shard worker's wake handshake.
+	claimed atomic.Uint32
+	park    parker
 
 	_ [64]byte // pad: keep neighboring shards off one cache line
 }
@@ -565,11 +557,11 @@ type engine struct {
 	// read a flat array instead of dereferencing *Router.
 	occ []int32
 
-	// Load-aware tiling state (DESIGN.md §5g). rowWork accumulates
-	// stepped router-ticks per mesh row (owner-only writes: a row belongs
-	// to exactly one shard) and decays by half at each epoch fold;
-	// maybeResplit re-cuts the partition from it while the workers are
-	// parked. cuts[i] is the first row of shard i.
+	// Load-aware tiling state (DESIGN.md §5g). When tiling, rowWork
+	// accumulates stepped router-ticks per mesh row (owner-only writes: a
+	// row belongs to exactly one shard) and decays by half at each epoch
+	// fold; maybeResplit re-cuts the partition from it between concurrent
+	// ticks. cuts[i] is the first row of shard i.
 	tiling       bool
 	width, rows  int
 	rowOfR       []int32 // router ID -> mesh row
@@ -579,7 +571,8 @@ type engine struct {
 	resplits     int64
 	shardLoadBuf []int64 // scratch for epoch-fold ShardLoad snapshots
 
-	wg        sync.WaitGroup
+	bar       tickBarrier
+	exited    sync.WaitGroup // joins the shard workers at stopWorkers
 	workersUp bool
 
 	nextID uint64
@@ -798,7 +791,9 @@ func (e *engine) WakeRequest(routerID int) {
 // through the shard's lane) when the router's clock fires.
 func (e *engine) stepRouter(r, shard int) {
 	e.shards[shard].swept++
-	e.rowWork[e.rowOfR[r]]++
+	if e.tiling {
+		e.rowWork[e.rowOfR[r]]++
+	}
 	mode, wt := e.ctrl.BillingState(r)
 	e.meter[r].AddStatic(mode, wt, 1)
 	e.ibuNum[r] += int64(e.occ[r])
@@ -897,41 +892,6 @@ func (e *engine) serialReason() string {
 		return "below-min-active"
 	}
 	return "margin-not-inert"
-}
-
-// startWorkers spawns one worker goroutine per shard beyond the first;
-// shard 0 always runs on the engine goroutine. A worker's tick has two
-// phases, land then sweep: it first lands the due wire transits the
-// engine bucketed for its shard (LandPending; empty on ticks without due
-// wire traffic), then sweeps its slice of the active set. No barrier
-// separates the phases across shards — a landing's whole effect set is
-// destination-shard-local under the quiet-margin predicate (DESIGN.md
-// §5d), so shard A may sweep while shard B still lands. Workers are
-// started lazily at the first concurrent tick so serial runs never pay
-// for them.
-func (e *engine) startWorkers() {
-	for si := 1; si < len(e.shards); si++ {
-		s := &e.shards[si]
-		s.work = make(chan int64, 1)
-		go func(si int, s *shardState) {
-			for t := range s.work {
-				e.net.LandPending(si)
-				e.sweepShard(si, t)
-				e.wg.Done()
-			}
-		}(si, s)
-	}
-	e.workersUp = true
-}
-
-func (e *engine) stopWorkers() {
-	if !e.workersUp {
-		return
-	}
-	for si := 1; si < len(e.shards); si++ {
-		close(e.shards[si].work)
-	}
-	e.workersUp = false
 }
 
 // Run executes one simulation.
@@ -1304,18 +1264,9 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				// branch unreachable — so every landing bucketed here is
 				// destination-shard-local and the workers can land and
 				// sweep without cross-shard effects.
-				if !e.workersUp {
-					e.startWorkers()
-				}
 				staged := e.net.StageDueLandings(e.shardOf)
 				e.parallelLandings += int64(staged)
-				e.wg.Add(len(e.shards) - 1)
-				for si := 1; si < len(e.shards); si++ {
-					e.shards[si].work <- tick
-				}
-				e.net.LandPending(0)
-				e.sweepShard(0, tick)
-				e.wg.Wait()
+				e.sweepConcurrent(tick)
 				e.parallelTicks++
 				if e.obsM != nil {
 					e.obsM.OnParallelTick(staged)
@@ -1370,7 +1321,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 			if e.lazy {
 				if e.tiling {
 					// Re-cut the partition toward the observed load while
-					// the workers are parked and every router is caught up
+					// no worker holds a claim and every router is caught up
 					// (the barrier above); refreshActive below rebuilds
 					// membership and arms against whatever partition this
 					// chose, so a re-split never touches simulated state.
@@ -1484,7 +1435,7 @@ func (e *engine) epochBoundary(now timing.Tick) {
 	// field computation is the engine's pre-obs code, so series CSVs are
 	// byte-identical), lane draining, residency/energy deltas, and the
 	// live snapshot. It runs here — after Commit and the catch-up
-	// barrier, with every shard worker parked — which is what makes the
+	// barrier, with no shard worker holding a claim — which makes the
 	// single-threaded drain of the shard lanes safe.
 	hits, misses := e.net.PoolStats()
 	driftFired := e.obsM.FoldEpoch(obs.EpochFold{

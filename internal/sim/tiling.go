@@ -5,31 +5,21 @@
 // prefix-summed into balanced cuts, each cut snapped to the nearest row
 // whose quiet margin carries no recent work — a cut through a busy band
 // would fail the isolation predicate every tick and pin the engine to
-// the serial fallback. Re-splits run on the engine goroutine with every
-// worker parked and every router caught up, and touch only scheduling
-// state (shard ranges, bitsets, arm heaps, stats/metrics lane maps), so
-// results are bit-identical to any other partition by the same argument
-// that makes them identical to Shards=1.
-//
-// This file also owns the ShardMinActive startup calibration: the
-// serial-fallback threshold is derived from a measured dispatch/barrier
-// round-trip instead of a fixed constant.
+// the serial fallback. Re-splits run on the engine goroutine while no
+// worker holds a claim and every router is caught up, and touch only
+// scheduling state (shard ranges, bitsets, arm heaps, stats/metrics lane
+// maps), so results are bit-identical to any other partition by the same
+// argument that makes them identical to Shards=1.
 package sim
 
-import (
-	"math"
-	"sync"
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // layoutShards (re)derives every partition-dependent structure from
 // cuts, where cuts[i] is the first mesh row of shard i (cuts[0] = 0):
 // shard router ranges and active bitsets, the shardOf ownership map used
 // to bucket wire landings, the staging-lane starts, and the boundary
 // margins checked by the isolation predicate. Counters that accumulate
-// across partitions (swept, lazyTicks) and the worker channels are left
+// across partitions (swept, lazyTicks) and the barrier state are left
 // alone, so it is safe both at engine construction and at a re-split.
 func (e *engine) layoutShards(cuts []int) {
 	copy(e.cuts, cuts)
@@ -73,7 +63,7 @@ func (e *engine) layoutShards(cuts []int) {
 
 // maybeResplit runs at the post-barrier epoch fold: if the decayed
 // per-row work histogram wants different cuts than the current ones, the
-// partition is re-laid while the workers are parked. The caller must
+// partition is re-laid while no worker holds a claim. The caller must
 // follow with refreshActive, which rebuilds membership and re-arms every
 // idle-gating router into its new owner's heap.
 func (e *engine) maybeResplit(from int64) {
@@ -160,10 +150,10 @@ func (e *engine) balancedCuts(total int64) []int {
 }
 
 // applyResplit installs a new partition. Preconditions: the engine is at
-// a post-barrier epoch fold (workers parked, every router caught up, all
-// staging lanes drained by Commit), so the engine goroutine owns every
-// shard. The arm heaps key routers by owning shard, so they are dropped
-// wholesale and every armTick reset; the caller's refreshActive re-arms
+// a post-barrier epoch fold (no worker holds a claim, every router caught
+// up, all staging lanes drained by Commit), so the engine goroutine owns
+// every shard. The arm heaps key routers by owning shard, so they are
+// dropped wholesale and every armTick reset; the caller's refreshActive re-arms
 // each idle-gating router into its new owner's heap at the same absolute
 // tick (TicksToNextEvent is deterministic and the router's clock phase
 // is caught up), so no scheduled gating event is lost. armTick must be
@@ -213,64 +203,4 @@ func loadImbalance(loads []int64) float64 {
 		return 0
 	}
 	return float64(max) * float64(len(loads)) / float64(sum)
-}
-
-// minActiveCal caches the calibrated threshold per shard count: the
-// measurement costs tens of microseconds, and sweeps construct many
-// engines with the same shard count.
-var minActiveCal sync.Map
-
-// calibratedShardMinActive derives the serial-fallback threshold for a
-// k-shard engine from this host's measured barrier cost. A concurrent
-// tick saves roughly active*(1-1/k) sequential router steps and pays one
-// worker dispatch + barrier round-trip, so the break-even active-set
-// size is barrierNs*k/((k-1)*stepNs). The result is clamped to
-// [DefaultShardMinActive/2, 4*DefaultShardMinActive] — the estimate
-// should move the threshold, not let a descheduled measurement run or an
-// unrealistically fast one push it somewhere indefensible.
-func calibratedShardMinActive(k int) int {
-	if v, ok := minActiveCal.Load(k); ok {
-		return v.(int)
-	}
-	// Replicate the engine's dispatch shape: k-1 workers blocked on
-	// buffered channels, a WaitGroup barrier on the way back. Min over
-	// the rounds, not mean — scheduler hiccups only inflate samples.
-	var wg sync.WaitGroup
-	chans := make([]chan struct{}, k-1)
-	for i := range chans {
-		chans[i] = make(chan struct{}, 1)
-		go func(c chan struct{}) {
-			for range c {
-				wg.Done()
-			}
-		}(chans[i])
-	}
-	best := int64(math.MaxInt64)
-	for i := 0; i < 64; i++ {
-		start := time.Now()
-		wg.Add(k - 1)
-		for _, c := range chans {
-			c <- struct{}{}
-		}
-		wg.Wait()
-		if d := time.Since(start).Nanoseconds(); d < best {
-			best = d
-		}
-	}
-	for _, c := range chans {
-		close(c)
-	}
-	// stepNs approximates one active router's serial sweep cost (billing
-	// + occupancy + state machine) on a modern core; only its order of
-	// magnitude matters inside the clamp range.
-	const stepNs = 25.0
-	th := int(math.Ceil(float64(best) * float64(k) / (float64(k-1) * stepNs)))
-	if min := DefaultShardMinActive / 2; th < min {
-		th = min
-	}
-	if max := 4 * DefaultShardMinActive; th > max {
-		th = max
-	}
-	minActiveCal.Store(k, th)
-	return th
 }

@@ -66,7 +66,7 @@ type Spec struct {
 	// worker pool, and results are bit-identical either way.
 	Shards int `json:"shards,omitempty"`
 	// ShardMinActive pins the sharded engine's serial-fallback
-	// threshold (0 calibrates at engine construction; scheduling-only).
+	// threshold (0 = sim.DefaultShardMinActive; scheduling-only).
 	ShardMinActive int `json:"shard_min_active,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). The CLI -workers
 	// flag overrides it.
