@@ -30,9 +30,10 @@ race:
 # The sharded-equivalence race gate, runnable on its own: the concurrent
 # tick engine's bit-exactness proofs (DESIGN.md §5c-5d) under the race
 # detector — concurrent sweeps plus the destination-shard wire-landing
-# path under banded and randomized heavy traffic — fast enough to fail a
-# sharding bug before the full race sweep runs. The claim barrier's own
-# tests ride first: the park-handshake interleavings and a Session stress
+# path under banded and randomized heavy traffic, and the seed corpus of
+# the engine-vs-reference fuzzer (sharded seeds included) — fast enough
+# to fail a sharding bug before the full race sweep runs. The claim
+# barrier's own tests ride first: the park-handshake interleavings and a Session stress
 # run that alternates parked and polling workers at GOMAXPROCS 1 and 2.
 # The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
@@ -40,17 +41,20 @@ race:
 # harvest tests (DESIGN.md §5i) ride along too, next to the sweep job
 # tests, which train ML models from several workers at once.
 race-sharded:
-	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|TestActiveSetEquivalence|TestRetile|TestHorizonEquivalence' ./internal/sim
+	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
 	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
-# Protocol fuzz smoke: run the cosim frame-decoder fuzz target for 10s
-# on top of its committed seed corpus (internal/cosim/testdata/fuzz).
-# Catches decoder panics/hangs on malformed frames before they ship;
-# run with a longer -fuzztime locally when touching proto.go.
+# Fuzz smoke: run the cosim frame-decoder fuzz target and the
+# engine-vs-reference differential fuzzer for 10s each on top of their
+# committed seed corpora (internal/*/testdata/fuzz). Catches decoder
+# panics/hangs on malformed frames, and any configuration where the fast
+# engine and sim.Config.Reference disagree, before they ship; run with a
+# longer -fuzztime locally when touching proto.go or the engine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/cosim
+	$(GO) test -run '^$$' -fuzz FuzzEngineVsReference -fuzztime 10s ./internal/sim
 
 # Benchmark snapshot: the JSON log (test2json stream) goes to
 # $(BENCH_FILE) for later comparison; the human-readable text is echoed

@@ -200,30 +200,31 @@ func BenchmarkEngineDozzNoC(b *testing.B) {
 // it matters: a sparse (low-load) trace on an 8x8 mesh under the gating
 // DozzNoC model leaves the network quiescent most of the time, so the
 // closed-form skip should beat tick-by-tick execution by a wide margin
-// (and the flit pool should cut allocations). The tick-by-tick
-// sub-benchmark is the same configuration with NoFastForward.
+// (and the flit pool should cut allocations). The reference
+// sub-benchmark is the same configuration on the reference engine
+// (Config.Reference: every tick, every router).
 func BenchmarkFastForwardLowLoad(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := traffic.Synthetic(topo, traffic.UniformRandom, 0.0001, 60_000, 1)
-	run := func(b *testing.B, noFF bool) {
+	run := func(b *testing.B, reference bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
-				Topo:          topo,
-				Spec:          policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:         tr,
-				NoFastForward: noFF,
+				Topo:      topo,
+				Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+				Trace:     tr,
+				Reference: reference,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !noFF && res.FastForwardedTicks == 0 {
+			if !reference && res.FastForwardedTicks == 0 {
 				b.Fatal("fast-forward never engaged")
 			}
 		}
 	}
 	b.Run("fastforward", func(b *testing.B) { run(b, false) })
-	b.Run("tickbytick", func(b *testing.B) { run(b, true) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
 // burstTrace builds sparse bursts separated by idle gaps far longer than
@@ -254,46 +255,46 @@ func burstTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 // traffic (sparse bursts, idle gaps much longer than an epoch) with
 // 3-tick wires. The horizon arm must engage both skip regimes
 // (quiescent fast-forward and non-quiescent horizon skips); the
-// tick-by-tick sub-benchmark is the same configuration with
-// NoFastForward, the ISSUE-8 acceptance baseline.
+// reference sub-benchmark is the same configuration on the reference
+// engine.
 func BenchmarkBursty(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := burstTrace(topo, 600_000)
-	run := func(b *testing.B, noFF bool) {
+	run := func(b *testing.B, reference bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
-				Topo:          topo,
-				Spec:          policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:         tr,
-				LinkTicks:     3,
-				NoFastForward: noFF,
+				Topo:      topo,
+				Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+				Trace:     tr,
+				LinkTicks: 3,
+				Reference: reference,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !noFF && res.FastForwardedTicks == 0 {
+			if !reference && res.FastForwardedTicks == 0 {
 				b.Fatal("fast-forward never engaged")
 			}
-			if !noFF && res.HorizonSkippedTicks == 0 {
+			if !reference && res.HorizonSkippedTicks == 0 {
 				b.Fatal("event horizon never engaged")
 			}
 		}
 	}
 	b.Run("horizon", func(b *testing.B) { run(b, false) })
-	b.Run("tickbytick", func(b *testing.B) { run(b, true) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkClosedLoopMcsim measures the engine directly under the
 // closed-loop mcsim workload — the regime the event horizon opened up
 // (fast-forward used to be disabled whenever a Workload was attached).
-// The horizon arm asserts non-quiescent skips engage; the tick-by-tick
-// arm is the same configuration with NoFastForward.
+// The horizon arm asserts non-quiescent skips engage; the reference arm
+// is the same configuration on the reference engine.
 func BenchmarkClosedLoopMcsim(b *testing.B) {
 	topo := topology.NewMesh(4, 4)
 	params := mcsim.DefaultSystem(topo)
 	params.Core.Instructions = 20_000
-	run := func(b *testing.B, noFF bool) {
+	run := func(b *testing.B, reference bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w, err := mcsim.New(params)
@@ -301,35 +302,33 @@ func BenchmarkClosedLoopMcsim(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := sim.Run(sim.Config{
-				Topo:          topo,
-				Spec:          policy.DozzNoC(policy.ReactiveSelector{}),
-				Workload:      w,
-				NoFastForward: noFF,
+				Topo:      topo,
+				Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+				Workload:  w,
+				Reference: reference,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !noFF && res.HorizonSkippedTicks == 0 {
+			if !reference && res.HorizonSkippedTicks == 0 {
 				b.Fatal("event horizon never engaged on the closed-loop workload")
 			}
 		}
 	}
 	b.Run("horizon", func(b *testing.B) { run(b, false) })
-	b.Run("tickbytick", func(b *testing.B) { run(b, true) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
-// runActiveSetBench runs one trace under the gating DozzNoC model with
-// active-set scheduling on (the default) or off, asserting the lazy
-// path actually engaged when enabled. Global fast-forward stays enabled
-// in both sub-benchmarks — the comparison isolates the per-router
-// active set against the engine as it stood before it.
+// runActiveSetBench runs one trace under the gating DozzNoC model on
+// the default engine, asserting the lazy path actually engaged, or on
+// the reference engine (every tick, every router; Config.Reference).
 //
 // With DOZZNOC_OBS=1 in the environment each run also attaches an
 // enabled-but-unsubscribed obs.Metrics (no tracer, no endpoint reader).
 // `make obs-overhead` runs BenchmarkMediumLoad with and without the
 // variable and gates the delta, so the observability layer's hook cost
 // is measured on the same benchmark names benchtxt already tracks.
-func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, noActiveSet bool) {
+func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, reference bool) {
 	var observer *obs.Observer
 	if os.Getenv("DOZZNOC_OBS") != "" {
 		observer = obs.New()
@@ -337,16 +336,16 @@ func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, 
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
-			Topo:        topo,
-			Spec:        policy.DozzNoC(policy.ReactiveSelector{}),
-			Trace:       tr,
-			NoActiveSet: noActiveSet,
-			Obs:         observer,
+			Topo:      topo,
+			Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+			Trace:     tr,
+			Reference: reference,
+			Obs:       observer,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !noActiveSet && res.LazySkippedRouterTicks == 0 {
+		if !reference && res.LazySkippedRouterTicks == 0 {
 			b.Fatal("active-set deferral never engaged")
 		}
 		if observer != nil && observer.Metrics.Snapshot().LazyTicks != res.LazySkippedRouterTicks {
@@ -363,7 +362,7 @@ func BenchmarkMediumLoad(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := traffic.Synthetic(topo, traffic.UniformRandom, 0.002, 30_000, 1)
 	b.Run("activeset", func(b *testing.B) { runActiveSetBench(b, topo, tr, false) })
-	b.Run("noactiveset", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
+	b.Run("reference", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
 }
 
 // hotspotTrace builds the regime global fast-forward misses entirely: a
@@ -408,7 +407,7 @@ func BenchmarkHotspot(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := hotspotTrace(topo, 30_000)
 	b.Run("activeset", func(b *testing.B) { runActiveSetBench(b, topo, tr, false) })
-	b.Run("noactiveset", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
+	b.Run("reference", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
 	for _, k := range []int{1, 2, 4} {
 		k := k
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {

@@ -81,22 +81,14 @@ type Config struct {
 	// CollectSeries records a per-epoch network snapshot (Result.Series)
 	// for time-resolved plots.
 	CollectSeries bool
-	// NoFastForward forces tick-by-tick execution even across quiescent
-	// stretches. Results are bit-identical with the flag on or off (the
-	// fast-forward path is an exact closed form); the knob exists so the
-	// equivalence tests can prove that, and as an escape hatch when
-	// debugging the engine itself.
-	NoFastForward bool
-	// NoActiveSet forces the per-tick loop to visit every router instead
-	// of only the active set (routers with buffered flits, securing
-	// claims, or a pending power-state transition). Like NoFastForward,
-	// results are bit-identical either way — deferred routers are caught
-	// up with the same integer closed forms — so the knob exists for the
-	// equivalence proofs and as a debugging escape hatch. Unlike the
-	// quiescent-window fast-forward, active-set scheduling also engages
-	// for closed-loop workloads. Forces Shards to 1 (the eager sweep is
-	// the single-goroutine reference semantics).
-	NoActiveSet bool
+	// Reference selects the reference engine: every base tick stepped,
+	// every router visited every tick, one shard — no event-horizon skips,
+	// no active-set deferral, no concurrent sweeps. Results are
+	// bit-identical to the default engine except for the scheduling
+	// diagnostics (FuzzEngineVsReference proves this over generated
+	// configurations); the knob exists as that proof's oracle and as a
+	// debugging escape hatch.
+	Reference bool
 	// Shards partitions the mesh into contiguous row-aligned router
 	// ranges that sweep concurrently inside a base tick whenever the
 	// rows straddling every shard boundary are provably isolated (empty,
@@ -110,7 +102,7 @@ type Config struct {
 	// split). 0 selects min(GOMAXPROCS, NumCPU, rows) — in particular it
 	// resolves to 1 on a single-CPU host, where concurrent sweeps could
 	// only interleave; 1 disables concurrency. Clamped to the router-row
-	// count. Forced to 1 when NoActiveSet is set or Pipeline < 2 (a
+	// count. Forced to 1 under Reference or when Pipeline < 2 (a
 	// 1-cycle pipeline lets a flit cross two links in one tick,
 	// defeating the boundary-margin isolation argument).
 	Shards int
@@ -246,7 +238,7 @@ func (c *Config) applyDefaults() error {
 	if c.Shards > 255 {
 		c.Shards = 255 // shard IDs are stored as uint8
 	}
-	if c.Shards < 1 || c.NoActiveSet || c.Pipeline < 2 {
+	if c.Shards < 1 || c.Reference || c.Pipeline < 2 {
 		c.Shards = 1
 	}
 	if c.ShardMinActive == 0 {
@@ -257,7 +249,6 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// Result summarizes one run.
 // Result is a finished run's summary. Determinism contract: every field
 // is deterministic — bit-identical across reruns of the same Config,
 // independent of shard count, worker timing, and fast-forward regime —
@@ -277,9 +268,9 @@ type Result struct {
 	// the old precondition: skips are now also taken with flits riding
 	// wires, packets queued behind gated routers, or claims held — those
 	// non-quiescent skips are counted by HorizonSkippedTicks instead, so
-	// the two fields partition the skipped time by regime. 0 with
-	// NoFastForward. Diagnostic only: it is a Result field that may
-	// differ between a fast-forward and a tick-by-tick run of the same
+	// the two fields partition the skipped time by regime. 0 under
+	// Reference. Diagnostic only: it is a Result field that may differ
+	// between a fast-forward and a tick-by-tick run of the same
 	// configuration — everything else is bit-identical.
 	FastForwardedTicks int64
 	// HorizonSkippedTicks counts base ticks covered by event-horizon
@@ -289,12 +280,12 @@ type Result struct {
 	// buffer was empty, so the next effect was computable in closed form
 	// (earliest of: next trace entry, next workload injection, next wire
 	// arrival, next controller timer, next local cycle of a router with
-	// queued packets, epoch boundary). 0 with NoFastForward. Diagnostic
+	// queued packets, epoch boundary). 0 under Reference. Diagnostic
 	// only, like FastForwardedTicks.
 	HorizonSkippedTicks int64
 	// LazySkippedRouterTicks counts router-ticks (one router deferred for
 	// one base tick) covered by the active-set lazy catch-up path instead
-	// of eager per-tick stepping (0 with NoActiveSet). Diagnostic only,
+	// of eager per-tick stepping (0 under Reference). Diagnostic only,
 	// like FastForwardedTicks: equivalence tests zero both before
 	// comparing Results.
 	LazySkippedRouterTicks int64
@@ -1003,7 +994,7 @@ func newEngine(cfg Config) (*engine, error) {
 		e.tr.BeginRun(runLabel, k)
 	}
 
-	e.lazy = !cfg.NoActiveSet
+	e.lazy = !cfg.Reference
 	e.tiling = e.lazy && k > 1 && !cfg.FixedTiling
 	if e.lazy {
 		e.lastTick = make([]int64, nR)
@@ -1017,8 +1008,8 @@ func newEngine(cfg Config) (*engine, error) {
 		// routers begin deferred at tick 0 — the catch-up closed form
 		// reproduces their eager ticks exactly — which also keeps the
 		// active set free of deferrable members at every fast-forward
-		// check, so LazySkippedRouterTicks is identical with fast-forward
-		// on or off.
+		// check, so LazySkippedRouterTicks is identical whether or not
+		// fast-forward engages (e.g. under an opaque workload).
 		e.refreshActive(0)
 	}
 
@@ -1028,7 +1019,7 @@ func newEngine(cfg Config) (*engine, error) {
 		// this capacity makes the per-delivery latency append allocation-free.
 		e.latencies = make([]int64, 0, len(e.entries))
 	}
-	e.ffEnabled = !cfg.NoFastForward
+	e.ffEnabled = !cfg.Reference
 	if cfg.Workload != nil {
 		if inj, ok := cfg.Workload.(traffic.NextInjector); ok {
 			e.nextInj = inj
@@ -1141,56 +1132,32 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				if b := e.net.NextWireDue() - tick; b < delta {
 					delta = b
 				}
-				// A router whose next local cycle would inject a queued
-				// packet caps the jump at that cycle's tick: injection is
-				// the one buffer-filling event controller timers don't
-				// predict. Routers with queued packets always hold
-				// securing claims (Inject raises the claim before the
-				// wake request), so in lazy mode they are schedule
-				// members and the member scan sees them.
+				// Only schedule members and armed gating ticks can bound the
+				// window, and only schedule members need advancing: deferred
+				// routers are dormant (no pending autonomous event, no
+				// claims) by the active-set invariant, so they stay behind
+				// and are caught up against the jumped clock when next
+				// touched. An armed router's gating tick must be processed
+				// normally, so the jump stops there (stale heap heads only
+				// make the bound conservative). A member whose next local
+				// cycle would inject a queued packet caps the jump at that
+				// cycle's tick: injection is the one buffer-filling event
+				// controller timers don't predict, and routers with queued
+				// packets always hold securing claims (Inject raises the
+				// claim before the wake request), so they are members.
 				queued := e.net.HasQueued()
-				if e.lazy {
-					// Deferred routers are dormant (no pending autonomous
-					// event, no claims) by the active-set invariant, so
-					// only schedule members and armed gating ticks can
-					// bound the window, and only schedule members need
-					// advancing: deferred routers stay behind and are
-					// caught up against the jumped clock when next
-					// touched. An armed router's gating tick must be
-					// processed normally, so the jump stops there (stale
-					// heap heads only make the bound conservative).
-					for si := range e.shards {
-						s := &e.shards[si]
-						s.ids = s.activeIDs(s.ids[:0])
-						if len(s.armT) > 0 {
-							if b := s.armT[0] - tick; b < delta {
-								delta = b
-							}
-						}
-						for _, r := range s.ids {
-							if delta <= 0 {
-								break
-							}
-							if ev := e.ctrl.TicksToNextEvent(r); ev < delta {
-								delta = ev
-							}
-							if queued && e.ctrl.CanAccept(r) && e.net.QueuedAtRouter(r) > 0 {
-								if b := e.ctrl.TicksToNextCycle(r); b < delta {
-									delta = b
-								}
-							}
+				for si := range e.shards {
+					s := &e.shards[si]
+					s.ids = s.activeIDs(s.ids[:0])
+					if len(s.armT) > 0 {
+						if b := s.armT[0] - tick; b < delta {
+							delta = b
 						}
 					}
-					if delta > 0 {
-						for si := range e.shards {
-							for _, r := range e.shards[si].ids {
-								e.ffRouter(r, delta)
-								e.lastTick[r] += delta
-							}
+					for _, r := range s.ids {
+						if delta <= 0 {
+							break
 						}
-					}
-				} else {
-					for r := 0; r < nR && delta > 0; r++ {
 						if ev := e.ctrl.TicksToNextEvent(r); ev < delta {
 							delta = ev
 						}
@@ -1200,13 +1167,14 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 							}
 						}
 					}
-					if delta > 0 {
-						for r := 0; r < nR; r++ {
-							e.ffRouter(r, delta)
-						}
-					}
 				}
 				if delta > 0 {
+					for si := range e.shards {
+						for _, r := range e.shards[si].ids {
+							e.ffRouter(r, delta)
+							e.lastTick[r] += delta
+						}
+					}
 					if e.nextInj != nil {
 						e.nextInj.SkipTicks(tick, delta)
 					}
