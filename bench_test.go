@@ -697,3 +697,39 @@ func BenchmarkAblations(b *testing.B) {
 		p.Write(io.Discard)
 	}
 }
+
+// BenchmarkSessionIdleAdvance measures one idle co-simulation op: an 8x8
+// DozzNoC session with an observer attached advances one 500-tick epoch
+// and takes a Snapshot, the pair the cosim daemon runs for every idle
+// `advance`. With no traffic the op is almost entirely epoch-boundary
+// bookkeeping (feature collection, mode selection, the obs fold) plus
+// the snapshot's meter sums, so its ns/op and allocs/op isolate that
+// layer from the frame codec (DESIGN.md §5f).
+func BenchmarkSessionIdleAdvance(b *testing.B) {
+	s, err := sim.NewSession(sim.Config{
+		Topo: topology.NewMesh(8, 8),
+		Spec: policy.DozzNoC(policy.ReactiveSelector{}),
+		Obs:  obs.New(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	// Let the fabric settle into its idle steady state (routers gated)
+	// before timing.
+	for i := 0; i < 8; i++ {
+		if _, err := s.Advance(500); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Advance(500); err != nil {
+			b.Fatal(err)
+		}
+		if st := s.Snapshot(); st.Tick != s.Now() {
+			b.Fatalf("snapshot tick %d, session at %d", st.Tick, s.Now())
+		}
+	}
+}

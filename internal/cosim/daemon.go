@@ -433,7 +433,8 @@ func (c *connState) transfer(req *Request) error {
 			return c.fail(req.ID, CodeBadField, "%v", err)
 		}
 	}
-	c.publish(s)
+	// No publish: Schedule only queues entries, so every stat the
+	// previous op published still holds until the next advance.
 	return c.reply(&Response{V: Version, ID: req.ID, OK: true,
 		Packets: len(entries), LatencyEst: est})
 }

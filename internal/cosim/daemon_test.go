@@ -181,6 +181,92 @@ func TestDaemonSessionBitExact(t *testing.T) {
 	}
 }
 
+// published returns the stats the expvar branch serves for session sid
+// of daemon d.
+func published(t *testing.T, d *Daemon, sid string) Stats {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s, ok := d.sessions[sid]
+	if !ok {
+		t.Fatalf("session %s not published", sid)
+	}
+	return s.pub
+}
+
+// TestDaemonTransferKeepsPublishedStats pins why a transfer does not
+// re-snapshot its session: scheduling moves no published stat. After
+// every transfer of a scripted session the published stats must equal
+// the ones the preceding op left and a direct sim.Session's Snapshot on
+// the same schedule.
+func TestDaemonTransferKeepsPublishedStats(t *testing.T) {
+	const width, height = 4, 4
+	script := transferScript(width*height, 24)
+	for _, shards := range []int{1, 4} {
+		for _, model := range []string{"pg", "dozznoc", "ml-turbo"} {
+			name := fmt.Sprintf("%s/shards=%d", model, shards)
+			d := NewDaemon(Options{})
+			cl := startConn(t, d)
+			sid, _, err := cl.OpenSession(width, height, model, shards, 0)
+			if err != nil {
+				t.Fatalf("%s: open: %v", name, err)
+			}
+			topo := topology.NewMesh(width, height)
+			spec, _ := specFor(model, topo.NumRouters())
+			direct, err := sim.NewSession(sim.Config{Topo: topo, Spec: spec, Shards: shards, Obs: obs.New()})
+			if err != nil {
+				t.Fatalf("%s: direct session: %v", name, err)
+			}
+			for i, tr := range script {
+				before := published(t, d, sid)
+				// Transfers land now and ahead of the clock, between
+				// advances and queries, so they hit sessions with flits
+				// in flight, routers gated and deferred catch-up pending.
+				at := tr.at / 2
+				if at < direct.Now() {
+					at = direct.Now()
+				}
+				if _, _, err := cl.Transfer(sid, tr.src, tr.dst, tr.bytes, at); err != nil {
+					t.Fatalf("%s: transfer %d: %v", name, i, err)
+				}
+				for _, en := range ExpandTransfer(tr.src, tr.dst, tr.bytes, at) {
+					if err := direct.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
+						t.Fatalf("%s: direct schedule: %v", name, err)
+					}
+				}
+				got := published(t, d, sid)
+				if !reflect.DeepEqual(got, before) {
+					t.Fatalf("%s: transfer %d moved the published stats:\nafter:  %+v\nbefore: %+v", name, i, got, before)
+				}
+				if want := wireStats(direct.Snapshot()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: transfer %d: published stats diverge from direct engine:\ndaemon: %+v\ndirect: %+v", name, i, got, want)
+				}
+				switch i % 4 {
+				case 1:
+					if resp, err := cl.Advance(sid, 300); err != nil || !resp.OK {
+						t.Fatalf("%s: advance: %v %+v", name, err, resp)
+					}
+					if _, err := direct.Advance(300); err != nil {
+						t.Fatal(err)
+					}
+				case 3:
+					if _, err := cl.Query(sid); err != nil {
+						t.Fatalf("%s: query: %v", name, err)
+					}
+				}
+			}
+			if got := published(t, d, sid); got.PacketsInjected == 0 {
+				t.Fatalf("%s: script injected nothing; the check is vacuous: %+v", name, got)
+			}
+			if _, err := cl.CloseSession(sid); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
+			}
+			direct.Close()
+			d.Close()
+		}
+	}
+}
+
 // TestDaemonConcurrentClients drives N clients × M sessions each through
 // interleaved opens, transfers, advances and queries. Run under -race
 // (make race-sharded) it is the daemon's data-race gate; the assertions

@@ -85,6 +85,8 @@ type routerHist struct {
 	prevEj   int64
 	prevSent int64
 	prevRecv int64
+
+	vec [ExtendedCount]float64 // the router's returned feature vector
 }
 
 func pushLag(buf []float64, v float64) {
@@ -110,6 +112,10 @@ func (e *ExtendedExtractor) Count() int { return ExtendedCount }
 // Collect returns the extended vector for one router at an epoch boundary
 // and advances its history. Call exactly once per router per boundary; the
 // shared epoch counter advances when router 0 is collected.
+//
+// The returned vector is owned by the extractor: it stays valid until the
+// next Collect for the same router, which overwrites it in place. A
+// caller that keeps a vector longer must copy it.
 func (e *ExtendedExtractor) Collect(routerID int, net *network.Network, ctrl *policy.Controller, ibu float64, now timing.Tick) []float64 {
 	if routerID == 0 {
 		e.epoch++
@@ -138,8 +144,7 @@ func (e *ExtendedExtractor) Collect(routerID int, net *network.Network, ctrl *po
 	st := ctrl.Stats()
 	nR := float64(len(e.hist))
 
-	v := make([]float64, 0, ExtendedCount)
-	v = append(v, 1, dSent, dRecv, offFrac, ibu)
+	v := append(h.vec[:0], 1, dSent, dRecv, offFrac, ibu)
 	v = append(v, h.ibu[:]...)
 	v = append(v, h.sent[:]...)
 	v = append(v, h.recv[:]...)

@@ -42,17 +42,25 @@ var Names = [Count]string{"bias", "reqs_sent", "reqs_recv", "off_time", "ibu"}
 // Extractor computes per-epoch feature vectors. It keeps the previous
 // cumulative counters so each call yields per-epoch deltas.
 type Extractor struct {
-	topo     topology.Topology
-	prevSent []int64 // per router: cumulative requests sent by its cores
-	prevRecv []int64
+	topo  topology.Topology
+	conc  int
+	state []routerState
+}
+
+// routerState is one router's delta baselines plus the storage its
+// feature vector is returned in.
+type routerState struct {
+	prevSent int64 // cumulative requests sent by the router's cores
+	prevRecv int64
+	vec      [Count]float64
 }
 
 // NewExtractor builds an extractor for a topology.
 func NewExtractor(topo topology.Topology) *Extractor {
 	return &Extractor{
-		topo:     topo,
-		prevSent: make([]int64, topo.NumRouters()),
-		prevRecv: make([]int64, topo.NumRouters()),
+		topo:  topo,
+		conc:  topo.Concentration(),
+		state: make([]routerState, topo.NumRouters()),
 	}
 }
 
@@ -60,30 +68,35 @@ func NewExtractor(topo topology.Topology) *Extractor {
 // ibu is the closing epoch's measured utilization; now the current tick.
 // Collect must be called exactly once per router per epoch boundary (it
 // advances the delta baselines).
+//
+// The returned vector is owned by the extractor: it stays valid until the
+// next Collect for the same router, which overwrites it in place. A
+// caller that keeps a vector longer must copy it.
 func (e *Extractor) Collect(routerID int, net *network.Network, ctrl *policy.Controller, ibu float64, now timing.Tick) []float64 {
 	var sent, recv int64
-	c0 := routerID * e.topo.Concentration()
-	for lp := 0; lp < e.topo.Concentration(); lp++ {
+	c0 := routerID * e.conc
+	for lp := 0; lp < e.conc; lp++ {
 		sent += net.CoreSentRequests(c0 + lp)
 		recv += net.CoreRecvRequests(c0 + lp)
 	}
-	dSent := sent - e.prevSent[routerID]
-	dRecv := recv - e.prevRecv[routerID]
-	e.prevSent[routerID] = sent
-	e.prevRecv[routerID] = recv
+	s := &e.state[routerID]
+	dSent := sent - s.prevSent
+	dRecv := recv - s.prevRecv
+	s.prevSent = sent
+	s.prevRecv = recv
 
 	offFrac := 0.0
 	if now > 0 {
 		offFrac = float64(ctrl.OffTicks(routerID)) / float64(now)
 	}
-	return []float64{1, float64(dSent), float64(dRecv), offFrac, ibu}
+	s.vec = [Count]float64{1, float64(dSent), float64(dRecv), offFrac, ibu}
+	return s.vec[:]
 }
 
 // Reset clears the delta baselines (for reuse across runs).
 func (e *Extractor) Reset() {
-	for i := range e.prevSent {
-		e.prevSent[i] = 0
-		e.prevRecv[i] = 0
+	for i := range e.state {
+		e.state[i] = routerState{}
 	}
 }
 

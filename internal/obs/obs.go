@@ -231,7 +231,8 @@ type Metrics struct {
 	started   time.Time
 	seriesOn  bool
 	series    *stats.Series
-	epochs    []Epoch
+	epochs    int64 // folds completed this run
+	last      Epoch // the latest fold's rollup
 	lastFold  int64
 	totals    Snapshot
 	prevRes   [2 + power.NumActiveModes]int64
@@ -303,7 +304,8 @@ func (m *Metrics) BindRun(label string, laneStarts []int, numRouters int, epochT
 	if collectSeries {
 		m.series = &stats.Series{EpochTicks: epochTicks}
 	}
-	m.epochs = nil
+	m.epochs = 0
+	m.last = Epoch{}
 	m.lastFold = 0
 	m.totals = Snapshot{
 		Run: m.run, Label: label,
@@ -349,8 +351,11 @@ func (m *Metrics) DriftEvents() int64 { return m.totals.DriftEvents }
 // unless BindRun asked for one).
 func (m *Metrics) Series() *stats.Series { return m.series }
 
-// Epochs returns the per-epoch rollups folded so far this run.
-func (m *Metrics) Epochs() []Epoch { return m.epochs }
+// LastEpoch returns the rollup of the latest epoch fold this run (the
+// zero Epoch before the first fold). Only the latest is kept, so a
+// long-running session holds no per-epoch log; Snapshot.Epochs counts
+// the folds.
+func (m *Metrics) LastEpoch() Epoch { return m.last }
 
 // --- policy.EventObserver ---
 
@@ -498,10 +503,9 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	// Residency movement, network-wide, from the integer meter counters.
 	var res [2 + power.NumActiveModes]int64
 	for i := range meters {
-		res[0] += meters[i].ResidencyTicks(power.Inactive)
-		res[1] += meters[i].ResidencyTicks(power.Wakeup)
-		for am := 0; am < power.NumActiveModes; am++ {
-			res[2+am] += meters[i].ResidencyTicks(power.ActiveMode(am))
+		r := meters[i].Residency()
+		for s := range res {
+			res[s] += r[s]
 		}
 	}
 	for i := range res {
@@ -544,7 +548,8 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 		setDriftGauge(1)
 	}
 
-	m.epochs = append(m.epochs, ep)
+	m.epochs++
+	m.last = ep
 	m.lastFold = f.Now
 	m.publish(f)
 	return driftFired
@@ -591,7 +596,7 @@ func (m *Metrics) foldLanes(ep *Epoch) {
 // publish refreshes the cumulative totals and the live expvar snapshot.
 func (m *Metrics) publish(f EpochFold) {
 	m.totals.Tick = f.Now
-	m.totals.Epochs = int64(len(m.epochs))
+	m.totals.Epochs = m.epochs
 	m.totals.ParallelTicks = m.parallelTicks
 	m.totals.ParallelLandings = m.parallelLandings
 	m.totals.FastForwardedTicks = m.ffTicks
@@ -655,6 +660,35 @@ func (m *Metrics) FinishRun(ticks int64, f EpochFold) {
 // the atomically published copy instead.
 func (m *Metrics) Snapshot() Snapshot {
 	return m.snapshotCopy()
+}
+
+// PredSummary is the prediction-quality subset of a Snapshot: scalars
+// only, each equal to the Snapshot field of the same name.
+type PredSummary struct {
+	EpochDecisions       int64
+	MeanAbsPredErr       float64
+	UnderPredDecisions   int64
+	OverPredDecisions    int64
+	UnderPredStallTicks  int64
+	OverPredStaticWasteJ float64
+	DriftEvents          int64
+}
+
+// PredSummary returns the prediction-quality totals Snapshot would
+// report now, without cloning the snapshot's slices and histograms — the
+// read a co-simulation session makes after every op. Same calling rules
+// as Snapshot.
+func (m *Metrics) PredSummary() PredSummary {
+	t := &m.totals
+	return PredSummary{
+		EpochDecisions:       t.EpochDecisions,
+		MeanAbsPredErr:       t.MeanAbsPredErr,
+		UnderPredDecisions:   t.UnderPredDecisions,
+		OverPredDecisions:    t.OverPredDecisions,
+		UnderPredStallTicks:  t.UnderPredStallTicks,
+		OverPredStaticWasteJ: t.OverPredStaticWasteJ,
+		DriftEvents:          t.DriftEvents,
+	}
 }
 
 // Retile remaps the router->lane attribution after a load-aware shard

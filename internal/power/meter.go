@@ -26,15 +26,14 @@ type Meter struct {
 	hops int64
 }
 
-// stateIndex maps a mode (Inactive/Wakeup/M3..M7) to a residency slot.
+// stateIndex maps a mode (Inactive/Wakeup/M3..M7) to a residency slot;
+// the mode numbering makes that m - 1.
 func stateIndex(m Mode) int {
-	switch m {
-	case Inactive:
-		return 0
-	case Wakeup:
-		return 1
+	s := int(m - Inactive)
+	if uint(s) >= 2+NumActiveModes {
+		panicIndex(m)
 	}
-	return 2 + m.Index()
+	return s
 }
 
 // AddStatic bills ticks base ticks of leakage for a router in state m
@@ -54,13 +53,14 @@ func (mt *Meter) AddHop(m Mode) {
 
 // StaticJoules returns accumulated leakage energy. It is a pure function
 // of the integer residency counters, so it is deterministic regardless of
-// how the ticks were batched.
+// how the ticks were batched. Waking into mode M3+i leaks what M3+i does
+// (StaticWattsWaking), so both terms read Table[i] directly.
 func (mt *Meter) StaticJoules() float64 {
 	j := 0.0
-	for i := 0; i < NumActiveModes; i++ {
-		m := ActiveMode(i)
-		j += float64(mt.wakeTicks[i]) * StaticWattsWaking(m)
-		j += float64(mt.residencyTicks[2+i]) * StaticWatts(m)
+	for i := range Table {
+		w := Table[i].StaticWatts
+		j += float64(mt.wakeTicks[i]) * w
+		j += float64(mt.residencyTicks[2+i]) * w
 	}
 	return j * timing.TickSeconds
 }
@@ -77,6 +77,10 @@ func (mt *Meter) Hops() int64 { return mt.hops }
 // ResidencyTicks returns base ticks spent in state m (Wakeup residency is
 // keyed by Wakeup regardless of target).
 func (mt *Meter) ResidencyTicks(m Mode) int64 { return mt.residencyTicks[stateIndex(m)] }
+
+// Residency returns the base ticks spent per billing state, indexed like
+// the meter's own counters: 0 = inactive, 1 = wakeup, 2..6 = M3..M7.
+func (mt *Meter) Residency() [2 + NumActiveModes]int64 { return mt.residencyTicks }
 
 // OffTicks returns base ticks spent power-gated.
 func (mt *Meter) OffTicks() int64 { return mt.residencyTicks[0] }

@@ -44,18 +44,34 @@ func (m Mode) IsActive() bool { return m >= MinActive && m <= MaxActive }
 // Index returns the 0-based active-mode index (M3 -> 0 .. M7 -> 4).
 // It panics for non-active modes.
 func (m Mode) Index() int {
-	if !m.IsActive() {
-		panic(fmt.Sprintf("power: Index of non-active mode %d", m))
+	i := int(m - MinActive)
+	if uint(i) >= NumActiveModes {
+		panicIndex(m)
 	}
-	return int(m - MinActive)
+	return i
 }
 
 // ActiveMode returns the active mode for a 0-based index.
 func ActiveMode(index int) Mode {
-	if index < 0 || index >= NumActiveModes {
-		panic(fmt.Sprintf("power: active-mode index %d out of range", index))
+	if uint(index) >= NumActiveModes {
+		panicIndexRange(index)
 	}
 	return MinActive + Mode(index)
+}
+
+// The panic helpers keep the message formatting out of line, so the mode
+// lookups on the per-tick, per-hop and per-fold paths stay small enough
+// to inline.
+
+//go:noinline
+func panicIndex(m Mode) { panic(fmt.Sprintf("power: Index of non-active mode %d", m)) }
+
+//go:noinline
+func panicHop(m Mode) { panic(fmt.Sprintf("power: dynamic hop energy in non-active mode %v", m)) }
+
+//go:noinline
+func panicIndexRange(index int) {
+	panic(fmt.Sprintf("power: active-mode index %d out of range", index))
 }
 
 // String renders a mode ("inactive", "wakeup", "M3".."M7").
@@ -96,7 +112,7 @@ var Table = [NumActiveModes]VFPoint{
 func Point(m Mode) VFPoint { return Table[m.Index()] }
 
 // FreqMHz returns the clock frequency of an active mode in MHz.
-func FreqMHz(m Mode) int { return Point(m).FreqMHz }
+func FreqMHz(m Mode) int { return Table[m.Index()].FreqMHz }
 
 // Volts returns the supply voltage of an active mode.
 func Volts(m Mode) float64 { return Point(m).Volts }
@@ -114,7 +130,7 @@ func StaticWatts(m Mode) float64 {
 		// mode (the paper bills wakeup at active-state power).
 		return Table[NumActiveModes-1].StaticWatts
 	}
-	return Point(m).StaticWatts
+	return Table[m.Index()].StaticWatts
 }
 
 // StaticWattsWaking returns leakage during wakeup into target mode; the
@@ -123,16 +139,17 @@ func StaticWattsWaking(target Mode) float64 {
 	if !target.IsActive() {
 		target = MaxActive
 	}
-	return Point(target).StaticWatts
+	return Table[target-MinActive].StaticWatts
 }
 
 // DynamicPJPerHop returns the dynamic energy in pJ charged when a flit
 // traverses a router and its outgoing link at mode m.
 func DynamicPJPerHop(m Mode) float64 {
-	if !m.IsActive() {
-		panic(fmt.Sprintf("power: dynamic hop energy in non-active mode %v", m))
+	i := int(m - MinActive)
+	if uint(i) >= NumActiveModes {
+		panicHop(m)
 	}
-	return Point(m).DynamicPJHop
+	return Table[i].DynamicPJHop
 }
 
 // ModeForVolts returns the active mode with the given supply voltage

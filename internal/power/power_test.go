@@ -37,13 +37,22 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIndexPanicsOnInactive(t *testing.T) {
+// wantPanic runs f and requires it to panic with exactly msg.
+func wantPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Index of inactive did not panic")
+		t.Helper()
+		if r := recover(); r != msg {
+			t.Fatalf("panic %v, want %q", r, msg)
 		}
 	}()
-	Inactive.Index()
+	f()
+}
+
+func TestIndexPanicsOnInactive(t *testing.T) {
+	wantPanic(t, "power: Index of non-active mode 1", func() { Inactive.Index() })
+	wantPanic(t, "power: Index of non-active mode 8", func() { new(Meter).ResidencyTicks(8) })
+	wantPanic(t, "power: active-mode index 5 out of range", func() { ActiveMode(NumActiveModes) })
 }
 
 func TestTableVValues(t *testing.T) {
@@ -108,12 +117,7 @@ func TestStaticWatts(t *testing.T) {
 }
 
 func TestDynamicPanicsWhenOff(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dynamic energy while inactive did not panic")
-		}
-	}()
-	DynamicPJPerHop(Inactive)
+	wantPanic(t, "power: dynamic hop energy in non-active mode inactive", func() { DynamicPJPerHop(Inactive) })
 }
 
 func TestModeForVolts(t *testing.T) {

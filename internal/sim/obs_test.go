@@ -43,13 +43,91 @@ func runObserved(t *testing.T, shards int, linkTicks int64, tracer *obs.Tracer) 
 	return res, observer.Metrics
 }
 
+// observedSession opens a session on the banded configuration of
+// runObserved — a fresh Metrics attached, the parallel-sweep threshold
+// floored — with the whole trace already scheduled.
+func observedSession(t *testing.T, topo topology.Topology, tr *traffic.Trace, shards int) (*sim.Session, *obs.Metrics) {
+	t.Helper()
+	m := obs.NewMetrics()
+	sess, err := sim.NewSession(sim.Config{
+		Topo:           topo,
+		Spec:           policy.DozzNoC(policy.ReactiveSelector{}),
+		Shards:         shards,
+		ShardMinActive: -1,
+		Obs:            &obs.Observer{Metrics: m},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, en := range tr.Entries {
+		if err := sess.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess, m
+}
+
 // TestObsLaneFoldMatchesSerial is the acceptance check for the staging
 // lanes: a Shards=4 run's folded totals — events routed through
 // shard-goroutine lanes during concurrent sweeps — must equal the
-// Shards=1 run's, where everything folds on the engine goroutine.
+// Shards=1 run's, where everything folds on the engine goroutine. Both
+// runs are sessions drained one epoch window at a time, so every fold's
+// rollup is compared through LastEpoch as it happens.
 func TestObsLaneFoldMatchesSerial(t *testing.T) {
-	serialRes, serialM := runObserved(t, 1, 0, nil)
-	shardedRes, shardedM := runObserved(t, 4, 0, nil)
+	topo := topology.NewMesh(8, 16)
+	tr := bandedTrace(topo, 20_000)
+	serialS, serialM := observedSession(t, topo, tr, 1)
+	shardedS, shardedM := observedSession(t, topo, tr, 4)
+
+	// The per-epoch rollup deltas must sum back to the totals they were
+	// drained from — and epoch for epoch the two runs must agree.
+	var g, w, ms, lz, epochs int64
+	for drained := false; !drained; {
+		var err error
+		if drained, err = serialS.Drain(sim.DefaultEpochTicks); err != nil {
+			t.Fatal(err)
+		}
+		shardedDrained, err := shardedS.Drain(sim.DefaultEpochTicks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := serialS.Now()
+		if shardedDrained != drained || shardedS.Now() != now {
+			t.Fatalf("sessions diverged: serial drained=%v at %d, sharded drained=%v at %d",
+				drained, now, shardedDrained, shardedS.Now())
+		}
+		if now > 10*tr.Horizon {
+			t.Fatalf("banded trace not drained by tick %d", now)
+		}
+		sn, pn := serialM.Snapshot().Epochs, shardedM.Snapshot().Epochs
+		if sn != pn {
+			t.Fatalf("epoch rollup counts differ at tick %d: serial %d, sharded %d", now, sn, pn)
+		}
+		switch sn - epochs {
+		case 0:
+			continue
+		case 1:
+		default:
+			t.Fatalf("window ending at tick %d folded %d epochs; only the last is visible", now, sn-epochs)
+		}
+		se, pe := serialM.LastEpoch(), shardedM.LastEpoch()
+		if pe.Tick != se.Tick || pe.Gatings != se.Gatings || pe.Wakes != se.Wakes ||
+			pe.ModeSwitches != se.ModeSwitches || pe.AvgIBU != se.AvgIBU ||
+			pe.ResidencyDelta != se.ResidencyDelta ||
+			pe.StaticJDelta != se.StaticJDelta || pe.DynamicJDelta != se.DynamicJDelta {
+			t.Fatalf("epoch %d rollup differs:\nsharded: %+v\nserial:  %+v", epochs, pe, se)
+		}
+		epochs++
+		g += pe.Gatings
+		w += pe.Wakes
+		ms += pe.ModeSwitches
+		lz += pe.LazyTicks
+	}
+	if epochs == 0 {
+		t.Fatal("no epoch folded; the rollup comparison is vacuous")
+	}
+
+	serialRes, shardedRes := serialS.Close(), shardedS.Close()
 	serial, sharded := serialM.Snapshot(), shardedM.Snapshot()
 	if shardedRes.ParallelTicks == 0 {
 		t.Fatal("Shards=4 never swept concurrently; the lane-fold check is vacuous")
@@ -60,7 +138,8 @@ func TestObsLaneFoldMatchesSerial(t *testing.T) {
 	if serial.Gatings == 0 || serial.Wakes == 0 || serial.ModeSwitches == 0 {
 		t.Fatalf("serial run saw no events to fold: %+v", serial)
 	}
-	if sharded.Gatings != serial.Gatings ||
+	if sharded.Epochs != serial.Epochs || sharded.Epochs < epochs ||
+		sharded.Gatings != serial.Gatings ||
 		sharded.Wakes != serial.Wakes ||
 		sharded.WakeOffTicks != serial.WakeOffTicks ||
 		sharded.ModeSwitches != serial.ModeSwitches ||
@@ -68,25 +147,6 @@ func TestObsLaneFoldMatchesSerial(t *testing.T) {
 		sharded.LazyTicks != serial.LazyTicks ||
 		sharded.ResidencyTicks != serial.ResidencyTicks {
 		t.Errorf("sharded lane fold differs from serial:\nsharded: %+v\nserial:  %+v", sharded, serial)
-	}
-	// The per-epoch rollup deltas must sum back to the totals they were
-	// drained from — and epoch for epoch the two runs must agree.
-	se, pe := serialM.Epochs(), shardedM.Epochs()
-	if len(se) == 0 || len(se) != len(pe) {
-		t.Fatalf("epoch rollup counts differ: serial %d, sharded %d", len(se), len(pe))
-	}
-	var g, w, ms, lz int64
-	for i := range pe {
-		if pe[i].Gatings != se[i].Gatings || pe[i].Wakes != se[i].Wakes ||
-			pe[i].ModeSwitches != se[i].ModeSwitches || pe[i].AvgIBU != se[i].AvgIBU ||
-			pe[i].ResidencyDelta != se[i].ResidencyDelta ||
-			pe[i].StaticJDelta != se[i].StaticJDelta || pe[i].DynamicJDelta != se[i].DynamicJDelta {
-			t.Fatalf("epoch %d rollup differs:\nsharded: %+v\nserial:  %+v", i, pe[i], se[i])
-		}
-		g += pe[i].Gatings
-		w += pe[i].Wakes
-		ms += pe[i].ModeSwitches
-		lz += pe[i].LazyTicks
 	}
 	// Totals may exceed the epoch sums only by the post-boundary
 	// remainder folded at FinishRun; for these drained counters the final

@@ -196,14 +196,14 @@ func (s *Session) Snapshot() SessionStats {
 		st.AvgLatencyTicks = float64(st.LatencySumTicks) / float64(st.LatencyCount)
 	}
 	if e.obsM != nil {
-		snap := e.obsM.Snapshot()
-		st.EpochDecisions = snap.EpochDecisions
-		st.MeanAbsPredErr = snap.MeanAbsPredErr
-		st.UnderPredDecisions = snap.UnderPredDecisions
-		st.OverPredDecisions = snap.OverPredDecisions
-		st.UnderPredStallTicks = snap.UnderPredStallTicks
-		st.OverPredStaticWasteJ = snap.OverPredStaticWasteJ
-		st.PredDriftEvents = snap.DriftEvents
+		p := e.obsM.PredSummary()
+		st.EpochDecisions = p.EpochDecisions
+		st.MeanAbsPredErr = p.MeanAbsPredErr
+		st.UnderPredDecisions = p.UnderPredDecisions
+		st.OverPredDecisions = p.OverPredDecisions
+		st.UnderPredStallTicks = p.UnderPredStallTicks
+		st.OverPredStaticWasteJ = p.OverPredStaticWasteJ
+		st.PredDriftEvents = p.DriftEvents
 	}
 	return st
 }

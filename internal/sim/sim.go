@@ -152,6 +152,11 @@ type Workload interface {
 
 // FeatureExtractor computes a router's per-epoch feature vector; both the
 // reduced (Table IV) and extended (41-feature) extractors implement it.
+// The returned vector is only valid until the next Collect for the same
+// router: extractors may hand out per-router storage they overwrite. The
+// engine honours this — it passes the vector to the selector at once and
+// keeps it as the router's pending dataset row, which ml.Dataset.Add
+// copies before that router's next Collect.
 type FeatureExtractor interface {
 	Collect(routerID int, net *network.Network, ctrl *policy.Controller, ibu float64, now timing.Tick) []float64
 }

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/power"
+	"repro/internal/timing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -191,6 +195,80 @@ func TestDatasetCollection(t *testing.T) {
 		if ds.Y[i] < 0 || ds.Y[i] > 1 {
 			t.Fatalf("row %d label %g out of range", i, ds.Y[i])
 		}
+	}
+}
+
+// copyingExtractor hands the engine a fresh copy of every vector its
+// inner extractor returns, so no consumer downstream can alias
+// extractor-owned storage.
+type copyingExtractor struct{ inner FeatureExtractor }
+
+func (c copyingExtractor) Collect(routerID int, net *network.Network, ctrl *policy.Controller, ibu float64, now timing.Tick) []float64 {
+	return append([]float64(nil), c.inner.Collect(routerID, net, ctrl, ibu, now)...)
+}
+
+func (c copyingExtractor) FeatureNames() []string { return c.inner.(featureNamer).FeatureNames() }
+
+// TestFeatureVectorOwnership pins the FeatureExtractor contract that a
+// vector is valid only until the router's next Collect: both extractors
+// overwrite per-router storage, so a harvest taken straight from them
+// must equal one whose every vector was copied on the way out. Keeping a
+// vector past the router's next Collect (or a Dataset that stopped
+// copying its rows) breaks the equality.
+func TestFeatureVectorOwnership(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	tr := smallTrace(t, topo, "fft", 4000)
+	for _, x := range []struct {
+		name string
+		mk   func() FeatureExtractor
+	}{
+		{"reduced", func() FeatureExtractor { return features.NewExtractor(topo) }},
+		{"extended", func() FeatureExtractor { return features.NewExtendedExtractor(topo) }},
+	} {
+		cfg := Config{
+			Topo: topo, Spec: policy.DozzNoC(policy.ReactiveSelector{}),
+			Trace: tr, CollectDataset: true,
+		}
+		cfg.Extractor = x.mk()
+		direct := run(t, cfg).Dataset
+		cfg.Extractor = copyingExtractor{x.mk()}
+		copied := run(t, cfg).Dataset
+		if direct.Len() == 0 {
+			t.Fatalf("%s: empty harvest; the comparison is vacuous", x.name)
+		}
+		if !reflect.DeepEqual(direct, copied) {
+			t.Fatalf("%s: harvest from extractor-owned vectors differs from the copied harvest (%d vs %d rows)",
+				x.name, direct.Len(), copied.Len())
+		}
+	}
+}
+
+// TestIdleAdvanceAllocs bounds the allocations of one idle co-simulation
+// op — a one-epoch Advance plus Snapshot on an observed 8x8 DozzNoC
+// session, the op BenchmarkSessionIdleAdvance times. Feature vectors,
+// meter sums and the snapshot's prediction summary allocate nothing;
+// what remains is the obs fold's live-snapshot publish.
+func TestIdleAdvanceAllocs(t *testing.T) {
+	s, err := NewSession(Config{
+		Topo: topology.NewMesh(8, 8),
+		Spec: policy.DozzNoC(policy.ReactiveSelector{}),
+		Obs:  obs.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	op := func() {
+		if _, err := s.Advance(DefaultEpochTicks); err != nil {
+			t.Fatal(err)
+		}
+		s.Snapshot()
+	}
+	for i := 0; i < 8; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(100, op); n > 8 {
+		t.Fatalf("idle Advance(%d)+Snapshot allocates %.0f times per op, want <= 8", DefaultEpochTicks, n)
 	}
 }
 
