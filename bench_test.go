@@ -391,18 +391,12 @@ func hotspotTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 // sharded engine's serial-fallback overhead (expected ~1x). See
 // BenchmarkBigMesh for the geometry where sharding pays.
 //
-// The asym-fixed/asym-load pair is the load-aware tiling acceptance
-// comparison (DESIGN.md §5g): a 16x32 mesh whose two busy bands (router
-// rows 0-1 and 6-7) both sit in the top quarter. The fixed even split at
-// Shards=4 cuts at rows 8/16/24, so the lower band rides inside the
-// first boundary's margin, the quiet-margin predicate never passes, and
-// asym-fixed pays the serial fallback every tick. asym-load lets the
-// epoch-fold re-split migrate the cuts (to ~{4,10,11}), which puts each
-// band in its own shard and lets both sweep concurrently. As with
-// BenchmarkBigMesh, the speedup needs cores: on a multi-core host
-// asym-load should beat asym-fixed by >=1.3x; at GOMAXPROCS=1 the
-// concurrent sweeps can only interleave and the pair measures the
-// tiling machinery's overhead instead.
+// asym-fixed measures the serial fallback on a 16x32 mesh whose two busy
+// bands (router rows 0-1 and 6-7) both sit in the top quarter
+// (DESIGN.md §5g). The even split at Shards=4 cuts at rows 8/16/24, so
+// all the work lands in the first shard and the lower band rides inside
+// the first boundary's margin: the sweep must stay serial every tick,
+// and the arm prices the sharded engine's per-tick fallback checks.
 func BenchmarkHotspot(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := hotspotTrace(topo, 30_000)
@@ -426,7 +420,7 @@ func BenchmarkHotspot(b *testing.B) {
 	}
 	asymTopo := topology.NewMesh(16, 32)
 	asymTr := bandTrace(asymTopo, 10_000, []int{0, 6}, 2)
-	runAsym := func(b *testing.B, fixed bool) {
+	b.Run("asym-fixed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
@@ -435,22 +429,15 @@ func BenchmarkHotspot(b *testing.B) {
 				Trace:          asymTr,
 				Shards:         4,
 				ShardMinActive: -1,
-				FixedTiling:    fixed,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if fixed && res.ParallelTicks != 0 {
+			if res.ParallelTicks != 0 {
 				b.Fatal("fixed even split swept concurrently through a busy margin")
 			}
-			if !fixed && (res.ShardResplits == 0 || res.ParallelTicks == 0) {
-				b.Fatalf("load-aware tiling never paid off (resplits=%d, parallel=%d)",
-					res.ShardResplits, res.ParallelTicks)
-			}
 		}
-	}
-	b.Run("asym-fixed", func(b *testing.B) { runAsym(b, true) })
-	b.Run("asym-load", func(b *testing.B) { runAsym(b, false) })
+	})
 }
 
 // bigMeshTrace drives four four-row bands, one deep inside each quarter
@@ -531,12 +518,12 @@ func BenchmarkBigMesh(b *testing.B) {
 	// banded arm spreads four four-row bands across the mesh quarters —
 	// roughly a thousand busy routers with quiet margins everywhere the
 	// even split cuts. The hotspot arm crowds two bands into the top
-	// eighth of the mesh, so the even split both cuts through traffic and
-	// leaves three shards idle; it relies on the load-aware re-split to
-	// find the one quiet cut between the bands (row 8) and engage.
+	// eighth of the mesh, inside the first shard: its margins stay quiet,
+	// so concurrent sweeps engage with every other shard idle, and the
+	// arm prices the barrier when there is no work to overlap.
 	big := topology.NewMesh(64, 64)
 	bigTr := bandTrace(big, 6_000, []int{2, 20, 36, 54}, 4)
-	runBig := func(b *testing.B, tr *traffic.Trace, shards int, wantResplit bool) {
+	runBig := func(b *testing.B, tr *traffic.Trace, shards int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
@@ -551,17 +538,14 @@ func BenchmarkBigMesh(b *testing.B) {
 			if shards > 1 && res.ParallelTicks == 0 {
 				b.Fatal("sharded sweep never engaged on the 64x64 mesh")
 			}
-			if wantResplit && res.ShardResplits == 0 {
-				b.Fatal("load-aware re-split never engaged on the 64x64 hotspot")
-			}
 		}
 	}
 	for _, k := range []int{1, 4} {
 		k := k
-		b.Run(fmt.Sprintf("64x64/shards=%d", k), func(b *testing.B) { runBig(b, bigTr, k, false) })
+		b.Run(fmt.Sprintf("64x64/shards=%d", k), func(b *testing.B) { runBig(b, bigTr, k) })
 	}
 	hotTr := bandTrace(big, 6_000, []int{2, 10}, 4)
-	b.Run("64x64-hotspot/shards=4", func(b *testing.B) { runBig(b, hotTr, 4, true) })
+	b.Run("64x64-hotspot/shards=4", func(b *testing.B) { runBig(b, hotTr, 4) })
 }
 
 // BenchmarkBigMeshWire is BenchmarkBigMesh with 2-tick links, so every

@@ -13,7 +13,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -135,9 +134,11 @@ type Snapshot struct {
 	ActiveRouters int     `json:"active_routers"` // active-set size at the last fold
 
 	// Shard balance, republished per fold so -obs-addr shows it live:
-	// ShardLoad is the per-shard swept-router-tick counts, ShardImbalance
-	// their max/mean (1.0 = perfectly balanced), and ShardResplits the
-	// load-aware boundary re-splits executed so far.
+	// ShardLoad is the per-shard swept-router-tick counts and
+	// ShardImbalance their max/mean (1.0 = perfectly balanced).
+	// ShardResplits is always 0 (the shard partition is fixed); it stays
+	// because the repository benchmark's pinned digests hash result rows
+	// that carry it.
 	ShardLoad      []int64 `json:"shard_load"`
 	ShardImbalance float64 `json:"shard_imbalance"`
 	ShardResplits  int64   `json:"shard_resplits"`
@@ -460,7 +461,6 @@ type EpochFold struct {
 	PoolHits       int64   // cumulative flit/packet pool hits
 	PoolMisses     int64
 	ShardLoad      []int64 // cumulative swept router-ticks per shard (engine scratch; copied)
-	ShardResplits  int64   // cumulative load-aware boundary re-splits
 }
 
 // FoldEpoch closes one epoch: it drains the shard lanes into the run
@@ -586,8 +586,7 @@ func (m *Metrics) foldLanes(ep *Epoch) {
 	m.totals.ModeSwitches = cur.ModeSwitches
 	m.totals.LazyTicks = cur.LazyTicks
 	// Histogram totals are the lane merge itself (cumulative, so the
-	// merge replaces rather than adds — like the counters above, and
-	// invariant under Retile because the merge spans every lane).
+	// merge replaces rather than adds — like the counters above).
 	m.totals.AbsErrHist = cur.AbsErr.Snapshot()
 	m.totals.LatencyHist = cur.Latency.Snapshot()
 	m.totals.WakeStallHist = cur.WakeStall.Snapshot()
@@ -605,8 +604,7 @@ func (m *Metrics) publish(f EpochFold) {
 	m.totals.PoolHits = f.PoolHits
 	m.totals.PoolMisses = f.PoolMisses
 	m.totals.ShardLoad = append(m.totals.ShardLoad[:0], f.ShardLoad...)
-	m.totals.ShardImbalance = shardImbalance(f.ShardLoad)
-	m.totals.ShardResplits = f.ShardResplits
+	m.totals.ShardImbalance = ShardImbalance(f.ShardLoad)
 	if m.errNRun > 0 {
 		m.totals.MeanAbsPredErr = m.errSumRun / float64(m.errNRun)
 	}
@@ -631,8 +629,9 @@ func (m *Metrics) snapshotCopy() Snapshot {
 	return snap
 }
 
-// shardImbalance is max/mean of the per-shard loads (0 when idle).
-func shardImbalance(loads []int64) float64 {
+// ShardImbalance is max/mean of the per-shard loads: 1.0 is perfectly
+// balanced, len(loads) is everything on one shard, 0 an idle run.
+func ShardImbalance(loads []int64) float64 {
 	var sum, max int64
 	for _, l := range loads {
 		sum += l
@@ -688,27 +687,5 @@ func (m *Metrics) PredSummary() PredSummary {
 		UnderPredStallTicks:  t.UnderPredStallTicks,
 		OverPredStaticWasteJ: t.OverPredStaticWasteJ,
 		DriftEvents:          t.DriftEvents,
-	}
-}
-
-// Retile remaps the router->lane attribution after a load-aware shard
-// re-split: laneStarts is the new partition (same lane count — lanes are
-// identified with shard workers, whose number never changes mid-run).
-// Only the map moves; lane counters are neither reset nor migrated,
-// because every consumer of per-router events (run totals, epoch deltas
-// via foldLanes) sums across all lanes, and those sums are invariant
-// under which lane a router's events landed in. Per-shard Sweeps stay
-// keyed by shard index and are unaffected. The engine calls this at the
-// post-barrier epoch fold, with every shard worker parked.
-func (m *Metrics) Retile(laneStarts []int) {
-	if len(laneStarts) != len(m.lanes) {
-		panic(fmt.Sprintf("obs: Retile with %d lanes, bound %d", len(laneStarts), len(m.lanes)))
-	}
-	lane := 0
-	for r := 0; r < m.nR; r++ {
-		for lane+1 < len(laneStarts) && r >= laneStarts[lane+1] {
-			lane++
-		}
-		m.laneOf[r] = uint8(lane)
 	}
 }

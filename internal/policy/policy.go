@@ -340,22 +340,6 @@ func (c *Controller) SetStatsLanes(starts []int) {
 		panic("policy: stats lanes must start at router 0")
 	}
 	c.stats = make([]Stats, len(starts))
-	c.relane(starts)
-}
-
-// RelaneStats remaps the router->lane assignment to a new partition of
-// the same lane count without resetting the accumulated counters — the
-// engine calls it when a load-aware re-split moves the shard boundaries
-// mid-run. Events already counted stay in the lane they landed in; since
-// Stats sums across lanes, the totals are unaffected by the move.
-func (c *Controller) RelaneStats(starts []int) {
-	if len(starts) != len(c.stats) || starts[0] != 0 {
-		panic(fmt.Sprintf("policy: RelaneStats with %d lanes, have %d", len(starts), len(c.stats)))
-	}
-	c.relane(starts)
-}
-
-func (c *Controller) relane(starts []int) {
 	lane := 0
 	for r := range c.laneOf {
 		for lane+1 < len(starts) && r >= starts[lane+1] {

@@ -217,6 +217,28 @@ type traceEvent struct {
 	Dur  int64  `json:"dur"`
 	PID  int    `json:"pid"`
 	TID  int    `json:"tid"`
+	Args struct {
+		Reason string `json:"reason"`
+	} `json:"args"`
+}
+
+// decodeTrace parses a tracer's JSONL output.
+func decodeTrace(t *testing.T, buf *bytes.Buffer) []traceEvent {
+	t.Helper()
+	var evs []traceEvent
+	sc := bufio.NewScanner(buf)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev traceEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("line %d is not valid JSON: %v\n%s", len(evs)+1, err, sc.Text())
+		}
+		evs = append(evs, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 // TestObsTraceJSONL runs a Shards=4 configuration with tracing on and
@@ -233,15 +255,8 @@ func TestObsTraceJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
-	lines := 0
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		lines++
-		var ev traceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v\n%s", lines, err, sc.Text())
-		}
+	evs := decodeTrace(t, &buf)
+	for _, ev := range evs {
 		switch ev.Ph {
 		case "X":
 			if ev.Dur <= 0 {
@@ -259,16 +274,54 @@ func TestObsTraceJSONL(t *testing.T) {
 		}
 		seen[ev.Name]++
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
+	if len(evs) == 0 {
 		t.Fatal("tracer emitted nothing")
 	}
 	for _, name := range []string{"parallel-tick", "sweep", "land", "catch-up-barrier", "epoch", "thread_name", "process_name"} {
 		if seen[name] == 0 {
 			t.Errorf("trace is missing %q events (saw %v)", name, seen)
 		}
+	}
+}
+
+// TestObsTraceSerialReasons traces a Shards=4 run on the asymmetric
+// geometry of BenchmarkHotspot/asym-fixed: both busy bands (router rows
+// 0-1 and 6-7 of a 16x32 mesh) sit in the first shard of the even split.
+// The lower band rides the first boundary's margin, so the run must
+// fall back to serial sweeps tagged margin-not-inert, and every
+// serial-sweep span must carry one of parallelOK's reasons.
+func TestObsTraceSerialReasons(t *testing.T) {
+	topo := topology.NewMesh(16, 32)
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	if _, err := sim.Run(sim.Config{
+		Topo:           topo,
+		Spec:           policy.DozzNoC(policy.ReactiveSelector{}),
+		Trace:          twoBandTrace(topo, 5_000, 0, 6),
+		Shards:         4,
+		ShardMinActive: -1,
+		Obs:            &obs.Observer{Tracer: tr},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ticks := map[string]int64{}
+	for _, ev := range decodeTrace(t, &buf) {
+		if ev.Name == "serial-sweep" {
+			ticks[ev.Args.Reason] += ev.Dur
+		}
+	}
+	for reason := range ticks {
+		switch reason {
+		case "single-shard", "below-min-active", "margin-not-inert":
+		default:
+			t.Errorf("serial-sweep span with unknown reason %q", reason)
+		}
+	}
+	if ticks["margin-not-inert"] == 0 {
+		t.Errorf("no serial-sweep span tagged margin-not-inert (ticks per reason: %v)", ticks)
 	}
 }
 

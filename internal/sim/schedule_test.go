@@ -10,6 +10,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -126,22 +128,68 @@ func TestActiveSetLazyTicksScheduleInvariant(t *testing.T) {
 // and the quiet-margin predicate admits concurrent sweeps on nearly
 // every tick — the geometry the sharded engine is built for.
 func bandedTrace(topo topology.Topology, horizon int64) *traffic.Trace {
-	width, rows := topo.Width(), topo.Height()
-	band := func(row0 int) []int {
-		cores := make([]int, 0, 2*width)
-		for row := row0; row < row0+2; row++ {
-			for x := 0; x < width; x++ {
-				cores = append(cores, topo.CoreAt(topo.RouterAt(x, row), 0))
-			}
-		}
-		return cores
-	}
-	top, bottom := band(0), band(rows-2)
+	return twoBandTrace(topo, horizon, 0, topo.Height()-2)
+}
+
+// twoBandTrace is bandedTrace with the two busy two-row bands starting
+// at router rows topRow and bottomRow.
+func twoBandTrace(topo topology.Topology, horizon int64, topRow, bottomRow int) *traffic.Trace {
+	top, bottom := rowBand(topo, topRow), rowBand(topo, bottomRow)
 	tr := &traffic.Trace{Name: "banded", Cores: topo.NumCores(), Horizon: horizon}
 	for t, i := int64(0), 0; t < horizon; t, i = t+2, i+1 {
 		tr.Entries = append(tr.Entries,
 			traffic.Entry{Time: t, Src: top[i%len(top)], Dst: top[(i+3)%len(top)], Kind: flit.Request},
 			traffic.Entry{Time: t, Src: bottom[i%len(bottom)], Dst: bottom[(i+5)%len(bottom)], Kind: flit.Request})
+	}
+	return tr
+}
+
+// rowBand lists the cores of the two router rows starting at row0.
+func rowBand(topo topology.Topology, row0 int) []int {
+	width := topo.Width()
+	cores := make([]int, 0, 2*width)
+	for row := row0; row < row0+2; row++ {
+		for x := 0; x < width; x++ {
+			cores = append(cores, topo.CoreAt(topo.RouterAt(x, row), 0))
+		}
+	}
+	return cores
+}
+
+// phaseShiftTrace cuts the horizon into phases of phaseLen ticks; each
+// phase draws a fresh pair of busy two-row bands (one per half of the
+// mesh) exchanging randomized band-local bursts, plus a hotspot router
+// that the upper band streams requests at. Band and hotspot positions
+// move between phases, so a band regularly lands on or next to a shard
+// boundary and whether the boundary margins are quiet changes mid-run;
+// the hotspot's traffic crosses boundaries whenever it sits in another
+// shard.
+func phaseShiftTrace(topo topology.Topology, horizon, phaseLen, seed int64) *traffic.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	width, rows := topo.Width(), topo.Height()
+	kinds := []flit.Kind{flit.Request, flit.Request, flit.Response}
+	tr := &traffic.Trace{Name: "phase-shift", Cores: topo.NumCores(), Horizon: horizon}
+	for p0 := int64(0); p0 < horizon; p0 += phaseLen {
+		top := rowBand(topo, rng.Intn(rows/2-1))
+		bottom := rowBand(topo, rows/2+rng.Intn(rows/2-1))
+		hot := topo.CoreAt(topo.RouterAt(rng.Intn(width), rng.Intn(rows)), 0)
+		end := min(p0+phaseLen, horizon)
+		for t := p0; t < end; t++ {
+			for _, cores := range [][]int{top, bottom} {
+				for burst := rng.Intn(2); burst > 0; burst-- {
+					si := rng.Intn(len(cores))
+					dst := cores[(si+1+rng.Intn(len(cores)-1))%len(cores)]
+					tr.Entries = append(tr.Entries, traffic.Entry{
+						Time: t, Src: cores[si], Dst: dst, Kind: kinds[rng.Intn(len(kinds))],
+					})
+				}
+			}
+			if t%5 == 0 {
+				if src := top[rng.Intn(len(top))]; src != hot {
+					tr.Entries = append(tr.Entries, traffic.Entry{Time: t, Src: src, Dst: hot, Kind: flit.Request})
+				}
+			}
+		}
 	}
 	return tr
 }
@@ -193,6 +241,79 @@ func TestShardedSweepEngagesAndMatchesSerial(t *testing.T) {
 				if !reflect.DeepEqual(sharded, serial) {
 					t.Errorf("Shards=%d result differs from serial:\nsharded: %+v\nserial:  %+v", k, sharded, serial)
 				}
+			}
+		})
+	}
+}
+
+// TestRetileRandomizedStress runs phase-shifting banded+hotspot traffic
+// on two mesh sizes, every paper model, Shards in {1,2,4}, with 1-tick
+// links so the staged landing path rides along. The name is that of the
+// stress suite for the load-aware re-split, which has since been
+// removed: the even row split now stays fixed for the whole run while
+// the busy rows move. Every sharded Result must be deeply equal to the
+// serial engine's, no run may report a re-split, and across each mesh
+// the sharded runs must sweep concurrently, otherwise the equivalence
+// proof would be vacuous.
+func TestRetileRandomizedStress(t *testing.T) {
+	meshes := []struct {
+		w, h    int
+		horizon int64
+	}{
+		{8, 16, 15_000},
+		{16, 32, 8_000},
+	}
+	for _, m := range meshes {
+		m := m
+		t.Run(fmt.Sprintf("mesh%dx%d", m.w, m.h), func(t *testing.T) {
+			topo := topology.NewMesh(m.w, m.h)
+			tr := phaseShiftTrace(topo, m.horizon, 2_500, 11)
+			s := core.NewSuite(topo, core.Options{Horizon: m.horizon, Seed: 3})
+			for _, k := range core.MLKinds {
+				s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
+			}
+			var parallelTicks int64
+			for _, kind := range core.AllKinds {
+				kind := kind
+				t.Run(kind.String(), func(t *testing.T) {
+					runK := func(shards int) *sim.Result {
+						spec, err := s.Spec(kind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := sim.Run(sim.Config{
+							Topo:           topo,
+							Spec:           spec,
+							Trace:          tr,
+							LinkTicks:      1,
+							Shards:         shards,
+							ShardMinActive: -1,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.ShardResplits != 0 {
+							t.Fatalf("Shards=%d run re-split %d times; the row split must stay fixed", shards, res.ShardResplits)
+						}
+						return res
+					}
+					serial := runK(1)
+					if serial.ParallelTicks != 0 {
+						t.Fatalf("Shards=1 run counted %d parallel ticks", serial.ParallelTicks)
+					}
+					zeroSchedulingDiagnostics(serial)
+					for _, k := range []int{2, 4} {
+						sharded := runK(k)
+						parallelTicks += sharded.ParallelTicks
+						zeroSchedulingDiagnostics(sharded)
+						if !reflect.DeepEqual(sharded, serial) {
+							t.Errorf("Shards=%d result differs from serial:\nsharded: %+v\nserial:  %+v", k, sharded, serial)
+						}
+					}
+				})
+			}
+			if parallelTicks == 0 {
+				t.Error("no sharded run ever swept concurrently; the equivalence check is vacuous")
 			}
 		})
 	}

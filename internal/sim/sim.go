@@ -90,18 +90,16 @@ type Config struct {
 	// debugging escape hatch.
 	Reference bool
 	// Shards partitions the mesh into contiguous row-aligned router
-	// ranges that sweep concurrently inside a base tick whenever the
-	// rows straddling every shard boundary are provably isolated (empty,
-	// unsecured). Results are bit-identical for any shard count — ticks
-	// that cannot be proven isolated sweep serially, and concurrent
-	// sweeps stage shared-state effects into per-shard lanes replayed in
-	// the serial order (DESIGN.md §5c). The boundaries themselves are
-	// load-aware: per-row work counters drive a re-split at each epoch
-	// fold so busy rows spread across workers and boundaries settle on
-	// quiet rows (DESIGN.md §5g; FixedTiling pins the initial even
-	// split). 0 selects min(GOMAXPROCS, NumCPU, rows) — in particular it
-	// resolves to 1 on a single-CPU host, where concurrent sweeps could
-	// only interleave; 1 disables concurrency. Clamped to the router-row
+	// ranges, rows split as evenly as Shards divides them and fixed for
+	// the run (DESIGN.md §5g), that sweep concurrently inside a base tick
+	// whenever the rows straddling every shard boundary are provably
+	// isolated (empty, unsecured) and ShardMinActive admits the tick.
+	// Results are bit-identical for any shard count — other ticks sweep
+	// serially, and concurrent sweeps stage shared-state effects into
+	// per-shard lanes replayed in the serial order (DESIGN.md §5c). 0
+	// selects min(GOMAXPROCS, NumCPU, rows) — in particular it resolves
+	// to 1 on a single-CPU host, where concurrent sweeps could only
+	// interleave; 1 disables concurrency. Clamped to the router-row
 	// count. Forced to 1 under Reference or when Pipeline < 2 (a
 	// 1-cycle pipeline lets a flit cross two links in one tick,
 	// defeating the boundary-margin isolation argument).
@@ -113,13 +111,6 @@ type Config struct {
 	// coverage on small meshes. The threshold only gates scheduling, so
 	// results are bit-identical for any value.
 	ShardMinActive int
-	// FixedTiling pins the shard partition to the initial contiguous
-	// even row-band split, disabling the load-aware boundary re-splits
-	// executed at epoch folds. Results are bit-identical either way —
-	// the partition only affects which goroutine sweeps which rows — so
-	// the knob exists to benchmark the tiling win and as a debugging
-	// escape hatch.
-	FixedTiling bool
 	// Obs attaches the observability layer (package obs): per-shard
 	// metric lanes folded at epoch boundaries, and optionally an engine
 	// phase tracer. Optional and purely diagnostic — a nil Observer
@@ -319,9 +310,9 @@ type Result struct {
 	// perfectly balanced partition, Shards is everything on one worker.
 	// 0 when nothing was swept. Diagnostic only.
 	ShardLoadImbalance float64
-	// ShardResplits counts the load-aware boundary re-splits executed at
-	// epoch folds (0 with FixedTiling, a single shard, or stable load).
-	// Diagnostic only.
+	// ShardResplits is always 0: the shard partition is the fixed even
+	// row split. The field stays because the repository benchmark reads
+	// it and its pinned result digests hash rows that carry it.
 	ShardResplits int64
 
 	PacketsInjected  int64
@@ -553,18 +544,6 @@ type engine struct {
 	// read a flat array instead of dereferencing *Router.
 	occ []int32
 
-	// Load-aware tiling state (DESIGN.md §5g). When tiling, rowWork
-	// accumulates stepped router-ticks per mesh row (owner-only writes: a
-	// row belongs to exactly one shard) and decays by half at each epoch
-	// fold; maybeResplit re-cuts the partition from it between concurrent
-	// ticks. cuts[i] is the first row of shard i.
-	tiling       bool
-	width, rows  int
-	rowOfR       []int32 // router ID -> mesh row
-	rowWork      []int64
-	cuts         []int
-	laneStarts   []int // current partition's lane starts (= shard lo's)
-	resplits     int64
 	shardLoadBuf []int64 // scratch for epoch-fold ShardLoad snapshots
 
 	bar       tickBarrier
@@ -787,9 +766,6 @@ func (e *engine) WakeRequest(routerID int) {
 // through the shard's lane) when the router's clock fires.
 func (e *engine) stepRouter(r, shard int) {
 	e.shards[shard].swept++
-	if e.tiling {
-		e.rowWork[e.rowOfR[r]]++
-	}
 	mode, wt := e.ctrl.BillingState(r)
 	e.meter[r].AddStatic(mode, wt, 1)
 	e.ibuNum[r] += int64(e.occ[r])
@@ -831,11 +807,13 @@ func (e *engine) sweepShard(si int, tick int64) {
 	s.loopPos = s.hi
 }
 
-// parallelOK decides whether this tick's sweep may run concurrently: the
-// active set must be large enough to amortize the barrier, and every
-// router in the two rows on each side of every shard boundary must be
-// inert (empty and unsecured; evaluated after this tick's wire landings
-// and injections). Inert margin rows isolate the shards for one tick:
+// parallelOK decides whether this tick's sweep may run concurrently. It
+// returns "" to sweep concurrently, otherwise the reason for the serial
+// fallback, which the tracer tags the serial-sweep span with. The active
+// set must be large enough to amortize the barrier, and every router in
+// the two rows on each side of every shard boundary must be inert (empty
+// and unsecured; evaluated after this tick's wire landings and
+// injections). Inert margin rows isolate the shards for one tick:
 // any router that can move a flit is then at least two rows from a
 // boundary, its neighbors (one row away) are all in-shard, a flit it
 // moves lands one row further in at most, and — with Pipeline >= 2 — a
@@ -844,22 +822,22 @@ func (e *engine) sweepShard(si int, tick int64) {
 // wire traffic toward a margin row cannot be missed: its destination
 // holds a securing claim until the tail lands, which makes the row
 // non-inert. See DESIGN.md §5c for the full argument.
-func (e *engine) parallelOK() bool {
+func (e *engine) parallelOK() string {
 	if len(e.shards) == 1 {
-		return false
+		return "single-shard"
 	}
 	if e.activeCount() < e.minActive {
-		return false
+		return "below-min-active"
 	}
 	for _, m := range e.margins {
 		// Bulk slab scan: the margin walk runs on every candidate
 		// parallel tick, so it reads the occupancy plane and secured
 		// counts as flat slices instead of calling Inert per router.
 		if !e.net.RangeInert(m.lo, m.hi) {
-			return false
+			return "margin-not-inert"
 		}
 	}
-	return true
+	return ""
 }
 
 // activeCount is the current active-set population (every router when
@@ -877,17 +855,13 @@ func (e *engine) activeCount() int {
 	return n
 }
 
-// serialReason mirrors parallelOK's decision for the tracer: why the
-// current tick is sweeping serially. Only evaluated when tracing is on,
-// so the duplicate popcount is never paid on the default path.
-func (e *engine) serialReason() string {
-	if len(e.shards) == 1 {
-		return "single-shard"
+// shardLoads snapshots the per-shard swept-router-tick counters into the
+// engine's scratch buffer (valid until the next call).
+func (e *engine) shardLoads() []int64 {
+	for si := range e.shards {
+		e.shardLoadBuf[si] = e.shards[si].swept
 	}
-	if e.activeCount() < e.minActive {
-		return "below-min-active"
-	}
-	return "margin-not-inert"
+	return e.shardLoadBuf
 }
 
 // Run executes one simulation.
@@ -940,38 +914,39 @@ func newEngine(cfg Config) (*engine, error) {
 	e.slotsPerR = int64(slots)
 	e.occ = e.net.OccupiedSlots()
 
-	// Initial shard layout: contiguous row-aligned router ranges, rows
-	// spread as evenly as K divides them. With K = 1 this is one shard
-	// covering the mesh and the sweep is exactly the serial engine. The
-	// boundaries move toward the load at epoch folds (maybeResplit)
-	// unless FixedTiling pins them.
+	// Shard layout (DESIGN.md §5g): contiguous row-aligned router ranges,
+	// rows spread as evenly as K divides them, fixed for the run. With
+	// K = 1 this is one shard covering the mesh and the sweep is exactly
+	// the serial engine. Each boundary's margin is the two rows on either
+	// side of it, which parallelOK must find inert.
 	width, rows := cfg.Topo.Width(), cfg.Topo.Height()
 	k := cfg.Shards
-	e.width, e.rows = width, rows
-	e.rowOfR = make([]int32, nR)
-	for r := range e.rowOfR {
-		e.rowOfR[r] = int32(r / width)
-	}
-	e.rowWork = make([]int64, rows)
 	e.shards = make([]shardState, k)
 	e.shardOf = make([]uint8, nR)
 	e.minActive = cfg.ShardMinActive
-	e.cuts = make([]int, k)
-	e.laneStarts = make([]int, k)
 	e.shardLoadBuf = make([]int64, k)
-	cuts := make([]int, k)
+	laneStarts := make([]int, k)
 	row := 0
-	for si := 0; si < k; si++ {
-		cuts[si] = row
+	for si := range e.shards {
+		if si > 0 {
+			e.margins = append(e.margins, span{max(row-2, 0) * width, min(row+2, rows) * width})
+		}
 		h := rows / k
 		if si < rows%k {
 			h++
 		}
+		s := &e.shards[si]
+		s.lo, s.hi = row*width, (row+h)*width
+		s.active = make([]uint64, (s.hi-s.lo+63)/64)
+		s.loopPos = s.lo
+		laneStarts[si] = s.lo
+		for r := s.lo; r < s.hi; r++ {
+			e.shardOf[r] = uint8(si)
+		}
 		row += h
 	}
-	e.layoutShards(cuts)
 	e.net.SetShards(k)
-	e.ctrl.SetStatsLanes(e.laneStarts)
+	e.ctrl.SetStatsLanes(laneStarts)
 
 	// Observability wiring. Metrics lanes mirror the shard layout just
 	// built (laneStarts), so shard-goroutine hooks stay owner-only; the
@@ -992,7 +967,7 @@ func newEngine(cfg Config) (*engine, error) {
 		runLabel = cfg.Spec.Name + "/" + cfg.Trace.Name
 	}
 	if e.obsM != nil {
-		e.obsM.BindRun(runLabel, e.laneStarts, nR, cfg.EpochTicks, cfg.CollectSeries)
+		e.obsM.BindRun(runLabel, laneStarts, nR, cfg.EpochTicks, cfg.CollectSeries)
 		e.ctrl.SetObserver(e.obsM)
 	}
 	if e.tr != nil {
@@ -1000,7 +975,6 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	e.lazy = !cfg.Reference
-	e.tiling = e.lazy && k > 1 && !cfg.FixedTiling
 	if e.lazy {
 		e.lastTick = make([]int64, nR)
 		e.armTick = make([]int64, nR)
@@ -1231,7 +1205,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 			cfg.Workload.Tick(tick, e.injectNow)
 		}
 		if e.lazy {
-			if e.parallelOK() {
+			if reason := e.parallelOK(); reason == "" {
 				// A due transit into a boundary margin keeps its
 				// destination secured — hence the margin non-inert and this
 				// branch unreachable — so every landing bucketed here is
@@ -1257,7 +1231,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				}
 			} else {
 				if e.tr != nil {
-					e.tr.Span(obs.EngineTrack, "serial-sweep", e.serialReason(), tick, 1)
+					e.tr.Span(obs.EngineTrack, "serial-sweep", reason, tick, 1)
 				}
 				e.net.DeliverDue()
 				for si := range e.shards {
@@ -1292,14 +1266,6 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				e.tr.Instant(obs.EngineTrack, "epoch", tick+1, -1)
 			}
 			if e.lazy {
-				if e.tiling {
-					// Re-cut the partition toward the observed load while
-					// no worker holds a claim and every router is caught up
-					// (the barrier above); refreshActive below rebuilds
-					// membership and arms against whatever partition this
-					// chose, so a re-split never touches simulated state.
-					e.maybeResplit(tick + 1)
-				}
 				e.refreshActive(tick + 1)
 			}
 		}
@@ -1337,7 +1303,6 @@ func (e *engine) finish() {
 			PoolHits:       hits,
 			PoolMisses:     misses,
 			ShardLoad:      e.shardLoads(),
-			ShardResplits:  e.resplits,
 		})
 	}
 	if e.tr != nil {
@@ -1419,7 +1384,6 @@ func (e *engine) epochBoundary(now timing.Tick) {
 		PoolHits:       hits,
 		PoolMisses:     misses,
 		ShardLoad:      e.shardLoads(),
-		ShardResplits:  e.resplits,
 	}, e.ctrl, e.meter)
 	if driftFired && e.tr != nil {
 		// Mark the stale-weights moment on the engine track so the drift
@@ -1453,8 +1417,7 @@ func (e *engine) result(ticks int64, drained bool) *Result {
 		ParallelTicks:          e.parallelTicks,
 		ParallelLandings:       e.parallelLandings,
 		ShardLoad:              shardLoad,
-		ShardLoadImbalance:     loadImbalance(shardLoad),
-		ShardResplits:          e.resplits,
+		ShardLoadImbalance:     obs.ShardImbalance(shardLoad),
 		PacketsInjected:        e.net.PacketsInjected(),
 		PacketsDelivered:       e.net.PacketsDelivered(),
 		FlitsDelivered:         e.net.FlitsDelivered(),
