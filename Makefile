@@ -35,26 +35,31 @@ race:
 # to fail a sharding bug before the full race sweep runs. The claim
 # barrier's own tests ride first: the park-handshake interleavings and a Session stress
 # run that alternates parked and polling workers at GOMAXPROCS 1 and 2.
+# The obs fold tests ride last: shard workers write the per-shard
+# counters (lazy catch-up, sweeps) the epoch fold reads.
 # The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
 # are the multiplexing layer's race gate. The suite's claim-then-wait
 # harvest tests (DESIGN.md §5i) ride along too, next to the sweep job
 # tests, which train ML models from several workers at once.
 race-sharded:
-	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile' ./internal/sim
+	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile|TestObsLaneFoldMatchesSerial|TestObsMirrorsEngineDiagnostics' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
 	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
-# Fuzz smoke: run the cosim frame-decoder fuzz target and the
-# engine-vs-reference differential fuzzer for 10s each on top of their
-# committed seed corpora (internal/*/testdata/fuzz). Catches decoder
-# panics/hangs on malformed frames, and any configuration where the fast
-# engine and sim.Config.Reference disagree, before they ship; run with a
-# longer -fuzztime locally when touching proto.go or the engine.
+# Fuzz smoke: run the cosim frame-decoder fuzz target, the
+# engine-vs-reference differential fuzzer and the sweep-spec fuzzer for
+# 10s each on top of their committed seed corpora
+# (internal/*/testdata/fuzz). Catches decoder panics/hangs on malformed
+# frames, any configuration where the fast engine and
+# sim.Config.Reference disagree, and sweep spec files that panic instead
+# of failing with an error, before they ship; run with a longer
+# -fuzztime locally when touching proto.go, the engine or the spec.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/cosim
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsReference -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzSweepSpec -fuzztime 10s ./internal/sweep
 
 # Benchmark snapshot: the JSON log (test2json stream) goes to
 # $(BENCH_FILE) for later comparison; the human-readable text is echoed

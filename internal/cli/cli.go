@@ -18,25 +18,24 @@ import (
 	"repro/internal/traffic"
 )
 
-// ParseTopo parses "mesh<W>x<H>" or "cmesh4x4".
+// ParseTopo parses "mesh<W>x<H>" or "cmesh<W>x<H>"; both dimensions must
+// be at least 2. Only the canonical spelling (the topology's Name) is
+// accepted, so one topology cannot appear under two names, e.g. in sweep
+// run IDs.
 func ParseTopo(name string) (topology.Topology, error) {
+	kind, newGrid := "mesh", topology.NewMesh
 	switch {
-	case name == "cmesh4x4":
-		return topology.NewCMesh(4, 4), nil
 	case strings.HasPrefix(name, "cmesh"):
-		var w, h int
-		if _, err := fmt.Sscanf(name, "cmesh%dx%d", &w, &h); err != nil {
-			return nil, fmt.Errorf("cli: bad topology %q", name)
-		}
-		return topology.NewCMesh(w, h), nil
-	case strings.HasPrefix(name, "mesh"):
-		var w, h int
-		if _, err := fmt.Sscanf(name, "mesh%dx%d", &w, &h); err != nil {
-			return nil, fmt.Errorf("cli: bad topology %q", name)
-		}
-		return topology.NewMesh(w, h), nil
+		kind, newGrid = "cmesh", topology.NewCMesh
+	case !strings.HasPrefix(name, "mesh"):
+		return nil, fmt.Errorf("cli: unknown topology %q", name)
 	}
-	return nil, fmt.Errorf("cli: unknown topology %q", name)
+	var w, h int
+	_, err := fmt.Sscanf(name, kind+"%dx%d", &w, &h)
+	if err != nil || w < 2 || h < 2 || fmt.Sprintf(kind+"%dx%d", w, h) != name {
+		return nil, fmt.Errorf("cli: bad topology %q", name)
+	}
+	return newGrid(w, h), nil
 }
 
 // ParseShards validates a -shards flag value: 0 selects the engine's

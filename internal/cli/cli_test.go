@@ -27,7 +27,7 @@ func TestParseTopo(t *testing.T) {
 	if err != nil || r.Width() != 6 || r.Height() != 3 {
 		t.Fatalf("mesh6x3 = %v, %v", r, err)
 	}
-	for _, bad := range []string{"", "torus4x4", "meshAxB", "grid"} {
+	for _, bad := range []string{"", "torus4x4", "meshAxB", "grid", "mesh1x4", "cmesh4x0", "mesh-2x-2", "mesh4x4junk", "mesh04x4"} {
 		if _, err := ParseTopo(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}

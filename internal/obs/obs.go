@@ -7,9 +7,12 @@
 // and must cost almost nothing when disabled: every hook the engine and
 // controller call is a branch on a nil pointer, shard-goroutine hooks
 // write only to the calling shard's padded lane, and everything else —
-// residency deltas, energy deltas, prediction accuracy, expvar gauges —
-// is derived at epoch folds on the engine goroutine, after the engine's
-// catch-up barrier, from state that is already exact (DESIGN.md §5e).
+// event and scheduling counts, residency and energy deltas, prediction
+// accuracy, expvar gauges — is derived at epoch folds on the engine
+// goroutine, after the engine's catch-up barrier, from state that is
+// already exact (DESIGN.md §5e). Counts live only where they happen (the
+// controller's policy.Stats, the engine's scheduling counters); a fold
+// reads their cumulative values and subtracts the previous fold's.
 package obs
 
 import (
@@ -35,23 +38,17 @@ type Observer struct {
 // "counters only" configuration.
 func New() *Observer { return &Observer{Metrics: NewMetrics()} }
 
-// Lane is one shard's staging area for event counters. During a
-// concurrent sweep only the owning shard's goroutine writes it (the same
-// ownership discipline as policy.SetStatsLanes); the trailing pad keeps
-// neighboring lanes off one cache line. Lanes are drained into the run
-// totals at every epoch fold, which runs single-threaded after the
-// engine's catch-up barrier.
+// Lane is one shard's staging area for the per-event detail obs records
+// itself. During a concurrent sweep only the owning shard's goroutine
+// writes it (the same ownership discipline as policy.SetStatsLanes); the
+// trailing pad keeps neighboring lanes off one cache line. Lanes are
+// merged into the run totals at every epoch fold, which runs
+// single-threaded after the engine's catch-up barrier.
 type Lane struct {
-	Gatings      int64 // Active -> Inactive transitions
-	Wakes        int64 // Inactive -> Wakeup transitions
-	WakeOffTicks int64 // summed lengths of the gating periods those wakes ended
-	ModeSwitches int64 // voltage/frequency switches started
-	LazyTicks    int64 // router-ticks covered by deferred catch-up
-	Sweeps       int64 // active-set sweeps executed for this shard
+	WakeOffTicks int64 // summed lengths of the gating periods wakes ended
 
-	// Streaming histograms, staged with the same ownership discipline as
-	// the counters: a shard goroutine writes only its own lane's copies,
-	// and the fold merges all lanes by bucket addition — exact, so the
+	// Streaming histograms: a shard goroutine writes only its own lane's
+	// copies, and the fold merges all lanes by bucket addition — exact, so the
 	// folded totals are bucket-identical to a single serial histogram
 	// (hist.go). WakeStall is fed from shard goroutines (RouterWoken);
 	// AbsErr and Latency are fed on the engine goroutine with every
@@ -72,7 +69,7 @@ type Lane struct {
 type Epoch struct {
 	Tick int64
 
-	// Event deltas drained from the shard lanes.
+	// Event deltas read from the controller's policy.Stats.
 	Gatings      int64
 	Wakes        int64
 	ModeSwitches int64
@@ -122,8 +119,8 @@ type Snapshot struct {
 	WakeOffTicks int64 `json:"wake_off_ticks"`
 	ModeSwitches int64 `json:"mode_switches"`
 
-	// Scheduling mirrors, accumulated independently of the engine's own
-	// Result diagnostics so the two can be cross-checked.
+	// Scheduling diagnostics, read from the engine's own counters at
+	// each fold (the same values sim.Result reports).
 	LazyTicks           int64 `json:"lazy_router_ticks"`
 	ParallelTicks       int64 `json:"parallel_ticks"`
 	ParallelLandings    int64 `json:"parallel_landings"`
@@ -216,37 +213,33 @@ func (s Snapshot) Deterministic() Snapshot {
 	return d
 }
 
-// Metrics accumulates one run's observability counters. A Metrics is
-// bound to a run by the engine (BindRun), written by the engine goroutine
-// and — through the per-shard lanes — by shard goroutines, and folded at
-// epoch boundaries. It implements policy.EventObserver. It is not safe to
+// Metrics derives one run's observability view. A Metrics is bound to a
+// run by the engine (BindRun) and folded at epoch boundaries: each fold
+// takes the cumulative counts the controller and the engine keep
+// (EpochFold) and derives the run totals and the epoch's deltas from
+// them, so no count is kept twice. What no other layer records — wake
+// off periods, the histograms, prediction accuracy — it collects itself
+// through policy.EventObserver, written by the engine goroutine and,
+// through the per-shard lanes, by shard goroutines. It is not safe to
 // share across concurrently executing runs; rebinding resets per-run
 // state, so one Metrics may observe a sequence of runs.
 type Metrics struct {
 	lanes  []Lane
-	laneOf []uint8 // owning lane of each router
+	laneOf []uint8 // owning lane of each router (the engine's shard map, read-only)
 	nR     int
 
-	run       int64
-	label     string
-	started   time.Time
-	seriesOn  bool
-	series    *stats.Series
-	epochs    int64 // folds completed this run
-	last      Epoch // the latest fold's rollup
-	lastFold  int64
-	totals    Snapshot
-	prevRes   [2 + power.NumActiveModes]int64
-	prevStat  float64
-	prevDyn   float64
-	prevPHits int64
-	prevPMiss int64
-
-	// Engine-goroutine scheduling mirrors (per-epoch deltas are taken at
-	// folds).
-	parallelTicks, parallelLandings, ffTicks, horizonTicks               int64
-	lastParallelTicks, lastParallelLandings, lastFFTicks, lastHorizTicks int64
-	lastLanes                                                            Lane // drained lane sums at the previous fold
+	run      int64
+	label    string
+	started  time.Time
+	seriesOn bool
+	series   *stats.Series
+	epochs   int64 // folds completed this run
+	last     Epoch // the latest fold's rollup
+	lastFold int64
+	totals   Snapshot // cumulative as of the last fold; also the delta base for the next
+	prevRes  [2 + power.NumActiveModes]int64
+	prevStat float64
+	prevDyn  float64
 
 	// Prediction bookkeeping (engine goroutine; EpochDecision fires only
 	// from the boundary sweep).
@@ -282,24 +275,20 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // BindRun attaches the Metrics to a run: one lane per engine shard
-// (laneStarts[i] is shard i's first router ID), numRouters routers, and
-// optionally a per-epoch stats.Series (the engine sources Result.Series
-// from it). All per-run state is reset; the bind count survives so a
-// long-lived Observer can tell runs apart on the live endpoint.
-func (m *Metrics) BindRun(label string, laneStarts []int, numRouters int, epochTicks int64, collectSeries bool) {
+// (router r's events stage into lane laneOf[r]; the engine passes its
+// router→shard map, which Metrics keeps and only reads), len(laneOf)
+// routers, and optionally a per-epoch stats.Series (the engine sources
+// Result.Series from it). All per-run state is reset; the bind count
+// survives so a long-lived Observer can tell runs apart on the live
+// endpoint.
+func (m *Metrics) BindRun(label string, laneOf []uint8, lanes int, epochTicks int64, collectSeries bool) {
+	numRouters := len(laneOf)
 	m.run++
 	m.label = label
 	m.started = time.Now()
 	m.nR = numRouters
-	m.lanes = make([]Lane, len(laneStarts))
-	m.laneOf = make([]uint8, numRouters)
-	lane := 0
-	for r := 0; r < numRouters; r++ {
-		for lane+1 < len(laneStarts) && r >= laneStarts[lane+1] {
-			lane++
-		}
-		m.laneOf[r] = uint8(lane)
-	}
+	m.lanes = make([]Lane, lanes)
+	m.laneOf = laneOf
 	m.seriesOn = collectSeries
 	m.series = nil
 	if collectSeries {
@@ -310,16 +299,12 @@ func (m *Metrics) BindRun(label string, laneStarts []int, numRouters int, epochT
 	m.lastFold = 0
 	m.totals = Snapshot{
 		Run: m.run, Label: label,
-		ShardSweeps:     make([]int64, len(laneStarts)),
+		ShardSweeps:     make([]int64, lanes),
 		RouterUnderPred: make([]int64, numRouters),
 		RouterOverPred:  make([]int64, numRouters),
 	}
 	m.prevRes = [2 + power.NumActiveModes]int64{}
 	m.prevStat, m.prevDyn = 0, 0
-	m.prevPHits, m.prevPMiss = 0, 0
-	m.parallelTicks, m.parallelLandings, m.ffTicks, m.horizonTicks = 0, 0, 0, 0
-	m.lastParallelTicks, m.lastParallelLandings, m.lastFFTicks, m.lastHorizTicks = 0, 0, 0, 0
-	m.lastLanes = Lane{}
 	m.lastPred = make([]float64, numRouters)
 	for i := range m.lastPred {
 		m.lastPred[i] = math.NaN()
@@ -360,23 +345,14 @@ func (m *Metrics) LastEpoch() Epoch { return m.last }
 
 // --- policy.EventObserver ---
 
-// RouterGated implements policy.EventObserver.
-func (m *Metrics) RouterGated(routerID int) { m.lanes[m.laneOf[routerID]].Gatings++ }
-
 // RouterWoken implements policy.EventObserver. stallTicks is the base
 // ticks the router will spend in the wakeup state before its first
 // post-wake local cycle — the traffic-visible stall the wake costs.
 func (m *Metrics) RouterWoken(routerID int, offTicks, stallTicks int64) {
 	l := &m.lanes[m.laneOf[routerID]]
-	l.Wakes++
 	l.WakeOffTicks += offTicks
 	l.WakeStall.Observe(stallTicks)
 	m.wakeStall[routerID] += stallTicks
-}
-
-// ModeSwitched implements policy.EventObserver.
-func (m *Metrics) ModeSwitched(routerID int, from, to power.Mode) {
-	m.lanes[m.laneOf[routerID]].ModeSwitches++
 }
 
 // EpochDecision implements policy.EventObserver: it accrues the
@@ -394,8 +370,6 @@ func (m *Metrics) ModeSwitched(routerID int, from, to power.Mode) {
 func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode power.Mode) {
 	m.predSum += predicted
 	m.predN++
-	m.totals.EpochDecisions++
-	m.totals.DecisionsByMode[mode.Index()]++
 	if lp := m.lastPred[routerID]; !math.IsNaN(lp) {
 		e := math.Abs(measured - lp)
 		m.predErrSum += e
@@ -427,48 +401,35 @@ func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode 
 // the owner-only lane discipline.
 func (m *Metrics) PacketLatency(ticks int64) { m.lanes[0].Latency.Observe(ticks) }
 
-// --- engine hooks (all branch-on-nil at the call site) ---
-
-// OnSweep counts one active-set sweep of shard si; called by the owning
-// goroutine, so the lane write is contention-free.
-func (m *Metrics) OnSweep(si int) { m.lanes[si].Sweeps++ }
-
-// OnLazyCatchUp credits lane si with router-ticks covered by a deferred
-// catch-up; like OnSweep it is called by the goroutine that owns si.
-func (m *Metrics) OnLazyCatchUp(si int, delta int64) { m.lanes[si].LazyTicks += delta }
-
-// OnFastForward records a quiescent-window jump of delta ticks.
-func (m *Metrics) OnFastForward(delta int64) { m.ffTicks += delta }
-
-// OnHorizonSkip records an event-horizon jump of delta ticks taken while
-// the network was not quiescent (flits on wires, packets queued, or
-// claims held — but every router buffer empty).
-func (m *Metrics) OnHorizonSkip(delta int64) { m.horizonTicks += delta }
-
-// OnParallelTick records one concurrently swept tick and the due wire
-// transits its shard workers landed.
-func (m *Metrics) OnParallelTick(stagedLandings int) {
-	m.parallelTicks++
-	m.parallelLandings += int64(stagedLandings)
-}
-
-// EpochFold carries the engine-side gauge readings into FoldEpoch.
+// EpochFold carries the engine's readings into FoldEpoch and FinishRun.
+// Every count in it is cumulative over the run and kept by its owner —
+// the controller (Policy) or the engine (the rest); the fold derives the
+// run totals and the epoch's deltas from them.
 type EpochFold struct {
-	Now            int64   // the boundary tick
+	Now            int64   // the boundary tick (the final tick for FinishRun)
 	SumIBU         float64 // summed per-router IBU of the closing epoch
-	FlitsDelivered int64   // cumulative network counter
-	ActiveRouters  int     // active-set population at the boundary
-	PoolHits       int64   // cumulative flit/packet pool hits
+	FlitsDelivered int64
+	ActiveRouters  int // active-set population at the boundary
+	PoolHits       int64
 	PoolMisses     int64
-	ShardLoad      []int64 // cumulative swept router-ticks per shard (engine scratch; copied)
+	ShardLoad      []int64 // swept router-ticks per shard (engine scratch; copied)
+	ShardSweeps    []int64 // active-set sweeps per shard (engine scratch; copied)
+
+	Policy              policy.Stats
+	LazyTicks           int64
+	ParallelTicks       int64
+	ParallelLandings    int64
+	FastForwardedTicks  int64
+	HorizonSkippedTicks int64
 }
 
-// FoldEpoch closes one epoch: it drains the shard lanes into the run
-// totals (single-threaded — the engine calls it after Commit and the
-// catch-up barrier, while every shard worker is parked), derives the
-// residency/energy deltas from the meters, builds the stats.EpochSample
-// the series and figure pipeline consume, feeds the drift detector, and
-// publishes the live snapshot. The sample computation is field-for-field
+// FoldEpoch closes one epoch: it derives the epoch's event and
+// scheduling deltas from f against the previous fold's totals, derives
+// the residency/energy deltas from the meters, builds the
+// stats.EpochSample the series and figure pipeline consume, feeds the
+// drift detector, and publishes the totals and the live snapshot, merging
+// the shard lanes (single-threaded — the engine calls it after Commit
+// and the catch-up barrier, while every shard worker is parked). The sample computation is field-for-field
 // the engine's pre-obs code, so series CSVs are byte-identical. It
 // reports whether the drift detector fired at this fold, so the engine
 // can emit a tracer instant event for it.
@@ -517,17 +478,17 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	ep.DynamicJDelta = sample.DynamicJ - m.prevDyn
 	m.prevStat, m.prevDyn = sample.StaticJ, sample.DynamicJ
 
-	// Drain the shard lanes (cumulative) against the previous fold.
-	m.foldLanes(&ep)
-
-	ep.ParallelTicks = m.parallelTicks - m.lastParallelTicks
-	ep.ParallelLandings = m.parallelLandings - m.lastParallelLandings
-	ep.FastForwardedTicks = m.ffTicks - m.lastFFTicks
-	ep.HorizonSkippedTicks = m.horizonTicks - m.lastHorizTicks
-	m.lastParallelTicks = m.parallelTicks
-	m.lastParallelLandings = m.parallelLandings
-	m.lastFFTicks = m.ffTicks
-	m.lastHorizTicks = m.horizonTicks
+	// The totals still hold the previous fold's readings; publish below
+	// replaces them with this fold's.
+	t := &m.totals
+	ep.Gatings = f.Policy.Gatings - t.Gatings
+	ep.Wakes = f.Policy.Wakes - t.Wakes
+	ep.ModeSwitches = f.Policy.ModeSwitches - t.ModeSwitches
+	ep.LazyTicks = f.LazyTicks - t.LazyTicks
+	ep.ParallelTicks = f.ParallelTicks - t.ParallelTicks
+	ep.ParallelLandings = f.ParallelLandings - t.ParallelLandings
+	ep.FastForwardedTicks = f.FastForwardedTicks - t.FastForwardedTicks
+	ep.HorizonSkippedTicks = f.HorizonSkippedTicks - t.HorizonSkippedTicks
 
 	if m.predN > 0 {
 		ep.AvgPredIBU = m.predSum / float64(m.predN)
@@ -555,61 +516,48 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	return driftFired
 }
 
-// foldLanes accumulates the (cumulative) lane counters into the run
-// totals and writes the delta since the previous fold into ep. Lanes are
+// publish replaces the totals with f's cumulative readings and the
+// merged shard lanes, and refreshes the live expvar snapshot. Lanes are
 // never zeroed mid-run — a shard goroutine could in principle still own
-// one between ticks — so folding subtracts the previous fold's sums.
-func (m *Metrics) foldLanes(ep *Epoch) {
+// one between ticks — so the merge replaces rather than adds.
+func (m *Metrics) publish(f EpochFold) {
 	var cur Lane
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		cur.Gatings += l.Gatings
-		cur.Wakes += l.Wakes
 		cur.WakeOffTicks += l.WakeOffTicks
-		cur.ModeSwitches += l.ModeSwitches
-		cur.LazyTicks += l.LazyTicks
 		cur.AbsErr.Merge(&l.AbsErr)
 		cur.Latency.Merge(&l.Latency)
 		cur.WakeStall.Merge(&l.WakeStall)
-		m.totals.ShardSweeps[i] = l.Sweeps
 	}
-	if ep != nil {
-		ep.Gatings = cur.Gatings - m.lastLanes.Gatings
-		ep.Wakes = cur.Wakes - m.lastLanes.Wakes
-		ep.ModeSwitches = cur.ModeSwitches - m.lastLanes.ModeSwitches
-		ep.LazyTicks = cur.LazyTicks - m.lastLanes.LazyTicks
-	}
-	m.lastLanes = cur
-	m.totals.Gatings = cur.Gatings
-	m.totals.Wakes = cur.Wakes
-	m.totals.WakeOffTicks = cur.WakeOffTicks
-	m.totals.ModeSwitches = cur.ModeSwitches
-	m.totals.LazyTicks = cur.LazyTicks
-	// Histogram totals are the lane merge itself (cumulative, so the
-	// merge replaces rather than adds — like the counters above).
-	m.totals.AbsErrHist = cur.AbsErr.Snapshot()
-	m.totals.LatencyHist = cur.Latency.Snapshot()
-	m.totals.WakeStallHist = cur.WakeStall.Snapshot()
-}
+	t := &m.totals
+	t.WakeOffTicks = cur.WakeOffTicks
+	t.AbsErrHist = cur.AbsErr.Snapshot()
+	t.LatencyHist = cur.Latency.Snapshot()
+	t.WakeStallHist = cur.WakeStall.Snapshot()
 
-// publish refreshes the cumulative totals and the live expvar snapshot.
-func (m *Metrics) publish(f EpochFold) {
-	m.totals.Tick = f.Now
-	m.totals.Epochs = m.epochs
-	m.totals.ParallelTicks = m.parallelTicks
-	m.totals.ParallelLandings = m.parallelLandings
-	m.totals.FastForwardedTicks = m.ffTicks
-	m.totals.HorizonSkippedTicks = m.horizonTicks
-	m.totals.ActiveRouters = f.ActiveRouters
-	m.totals.PoolHits = f.PoolHits
-	m.totals.PoolMisses = f.PoolMisses
-	m.totals.ShardLoad = append(m.totals.ShardLoad[:0], f.ShardLoad...)
-	m.totals.ShardImbalance = ShardImbalance(f.ShardLoad)
+	t.Tick = f.Now
+	t.Epochs = m.epochs
+	t.Gatings = f.Policy.Gatings
+	t.Wakes = f.Policy.Wakes
+	t.ModeSwitches = f.Policy.ModeSwitches
+	t.EpochDecisions = f.Policy.EpochDecisions
+	t.DecisionsByMode = f.Policy.ModeDecisions
+	t.LazyTicks = f.LazyTicks
+	t.ParallelTicks = f.ParallelTicks
+	t.ParallelLandings = f.ParallelLandings
+	t.FastForwardedTicks = f.FastForwardedTicks
+	t.HorizonSkippedTicks = f.HorizonSkippedTicks
+	t.ActiveRouters = f.ActiveRouters
+	t.PoolHits = f.PoolHits
+	t.PoolMisses = f.PoolMisses
+	t.ShardSweeps = append(t.ShardSweeps[:0], f.ShardSweeps...)
+	t.ShardLoad = append(t.ShardLoad[:0], f.ShardLoad...)
+	t.ShardImbalance = ShardImbalance(f.ShardLoad)
 	if m.errNRun > 0 {
-		m.totals.MeanAbsPredErr = m.errSumRun / float64(m.errNRun)
+		t.MeanAbsPredErr = m.errSumRun / float64(m.errNRun)
 	}
 	if el := time.Since(m.started).Seconds(); el > 0 {
-		m.totals.TicksPerSec = float64(f.Now) / el
+		t.TicksPerSec = float64(f.Now) / el
 	}
 	snap := m.snapshotCopy()
 	setLiveSnapshot(&snap)
@@ -646,13 +594,10 @@ func ShardImbalance(loads []int64) float64 {
 }
 
 // FinishRun folds events that accrued after the last epoch boundary
-// (partial epochs, post-drain catch-up) into the totals and republishes.
-// The engine calls it once, after its final catch-up flush.
-func (m *Metrics) FinishRun(ticks int64, f EpochFold) {
-	m.foldLanes(nil)
-	f.Now = ticks
-	m.publish(f)
-}
+// (partial epochs, post-drain catch-up) into the totals and republishes;
+// f.Now is the run's final tick. The engine calls it once, after its
+// final catch-up flush.
+func (m *Metrics) FinishRun(f EpochFold) { m.publish(f) }
 
 // Snapshot returns the cumulative totals as of the last fold. Call it
 // from the engine goroutine or after the run; the live endpoint reads

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
+	"repro/internal/power"
 )
 
 func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
@@ -113,28 +116,41 @@ func TestTracerStickyError(t *testing.T) {
 	}
 }
 
-// TestMetricsLaneRouting: events for a router land in its owning shard's
-// lane and fold into the totals once.
+// twoShards is a 16-router lane map: routers 0-7 on shard 0, 8-15 on 1.
+var twoShards = []uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
+
+// TestMetricsLaneRouting: a wake lands in its router's lane and folds
+// into the totals once, and the counts the fold reading carries become
+// the totals as given.
 func TestMetricsLaneRouting(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("test", []int{0, 8}, 16, 500, false)
-	m.RouterGated(3)  // shard 0
-	m.RouterGated(11) // shard 1
-	m.RouterWoken(11, 40, 6)
-	m.OnLazyCatchUp(1, 25)
-	m.OnSweep(0)
-	m.OnFastForward(100)
-	m.OnParallelTick(7)
-	m.FinishRun(1000, EpochFold{ActiveRouters: 2})
+	m.BindRun("test", twoShards, 2, 500, false)
+	m.RouterWoken(11, 40, 6) // shard 1
+	m.FinishRun(EpochFold{
+		Now:                1000,
+		ActiveRouters:      2,
+		ShardSweeps:        []int64{1, 0},
+		Policy:             policy.Stats{Gatings: 2, Wakes: 1, EpochDecisions: 3, ModeDecisions: [power.NumActiveModes]int64{1, 0, 0, 0, 2}},
+		LazyTicks:          25,
+		ParallelTicks:      1,
+		ParallelLandings:   7,
+		FastForwardedTicks: 100,
+	})
 	snap := m.Snapshot()
 	if snap.Gatings != 2 || snap.Wakes != 1 || snap.WakeOffTicks != 40 || snap.LazyTicks != 25 {
 		t.Errorf("event totals wrong: %+v", snap)
+	}
+	if snap.EpochDecisions != 3 || snap.DecisionsByMode != [power.NumActiveModes]int64{1, 0, 0, 0, 2} {
+		t.Errorf("decision totals wrong: %d %v", snap.EpochDecisions, snap.DecisionsByMode)
+	}
+	if m.lanes[1].WakeOffTicks != 40 || m.lanes[0].WakeOffTicks != 0 {
+		t.Errorf("wake staged in the wrong lane: %+v", m.lanes)
 	}
 	if snap.WakeStallHist.Count != 1 || snap.WakeStallHist.Sum != 6 {
 		t.Errorf("wake-stall histogram wrong: %+v", snap.WakeStallHist)
 	}
 	if snap.FastForwardedTicks != 100 || snap.ParallelTicks != 1 || snap.ParallelLandings != 7 {
-		t.Errorf("scheduling mirrors wrong: %+v", snap)
+		t.Errorf("scheduling counts wrong: %+v", snap)
 	}
 	if len(snap.ShardSweeps) != 2 || snap.ShardSweeps[0] != 1 || snap.ShardSweeps[1] != 0 {
 		t.Errorf("per-shard sweeps wrong: %v", snap.ShardSweeps)
@@ -143,9 +159,52 @@ func TestMetricsLaneRouting(t *testing.T) {
 		t.Errorf("run bookkeeping wrong: %+v", snap)
 	}
 	// Rebinding resets per-run state but keeps counting runs.
-	m.BindRun("again", []int{0}, 4, 500, false)
+	m.BindRun("again", make([]uint8, 4), 1, 500, false)
 	if snap := m.Snapshot(); snap.Gatings != 0 || snap.Run != 2 {
 		t.Errorf("rebind did not reset: %+v", snap)
+	}
+}
+
+// TestFoldDeltasAreReadingDifferences: each epoch's rollup is the
+// difference between its fold's cumulative reading and the previous
+// fold's.
+func TestFoldDeltasAreReadingDifferences(t *testing.T) {
+	m := NewMetrics()
+	m.BindRun("deltas", twoShards, 2, 500, false)
+	ctrl := policy.NewController(len(twoShards), policy.Baseline())
+	meters := make([]power.Meter, len(twoShards))
+	first := EpochFold{
+		Now: 500, ShardSweeps: []int64{3, 4}, ShardLoad: []int64{30, 40},
+		Policy:    policy.Stats{Gatings: 5, Wakes: 2, ModeSwitches: 1},
+		LazyTicks: 11, ParallelTicks: 6, ParallelLandings: 2, FastForwardedTicks: 100, HorizonSkippedTicks: 50,
+	}
+	second := EpochFold{
+		Now: 1000, ShardSweeps: []int64{9, 4}, ShardLoad: []int64{90, 40},
+		Policy:    policy.Stats{Gatings: 12, Wakes: 9, ModeSwitches: 4},
+		LazyTicks: 30, ParallelTicks: 10, ParallelLandings: 9, FastForwardedTicks: 180, HorizonSkippedTicks: 50,
+	}
+	m.FoldEpoch(first, ctrl, meters)
+	if ep := m.LastEpoch(); ep.Gatings != 5 || ep.LazyTicks != 11 || ep.FastForwardedTicks != 100 {
+		t.Errorf("first fold deltas are not the first reading: %+v", ep)
+	}
+	m.FoldEpoch(second, ctrl, meters)
+	want := Epoch{
+		Tick:                1000,
+		Gatings:             7,
+		Wakes:               7,
+		ModeSwitches:        3,
+		LazyTicks:           19,
+		ParallelTicks:       4,
+		ParallelLandings:    7,
+		FastForwardedTicks:  80,
+		HorizonSkippedTicks: 0,
+	}
+	if ep := m.LastEpoch(); ep != want {
+		t.Errorf("second fold deltas:\n got  %+v\n want %+v", ep, want)
+	}
+	snap := m.Snapshot()
+	if snap.Gatings != 12 || snap.Epochs != 2 || snap.ShardSweeps[0] != 9 || snap.ShardLoad[0] != 90 {
+		t.Errorf("totals are not the second reading: %+v", snap)
 	}
 }
 
@@ -154,9 +213,8 @@ func TestMetricsLaneRouting(t *testing.T) {
 // and the pprof index answers.
 func TestServerServesExpvarAndPprof(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("endpoint-test", []int{0}, 4, 500, false)
-	m.OnFastForward(42)
-	m.FinishRun(123, EpochFold{ActiveRouters: 1})
+	m.BindRun("endpoint-test", make([]uint8, 4), 1, 500, false)
+	m.FinishRun(EpochFold{Now: 123, ActiveRouters: 1, ShardSweeps: []int64{1}, FastForwardedTicks: 42})
 
 	srv, err := StartServer("127.0.0.1:0")
 	if err != nil {

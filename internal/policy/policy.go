@@ -199,27 +199,26 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 	return Spec{Name: "ML+TURBO", PowerGating: true, Selector: NewTurboSelector(sel, numRouters)}.withDefaults()
 }
 
-// EventObserver receives the controller's rare power-management events
-// (gatings, wakes, mode switches, epoch decisions). It is the hook the
-// observability layer (internal/obs) implements; the interface lives here
-// so policy does not import obs.
+// EventObserver receives the per-event detail the controller's Stats
+// counters do not keep: each wake's off period and stall, and each epoch
+// decision's measured and predicted IBU. It is the hook the observability
+// layer (internal/obs) implements; the interface lives here so policy
+// does not import obs. Event counts are not observer business: the
+// controller's Stats is their only store, and obs reads it at every
+// epoch fold.
 //
-// Gated and Woken may fire from an engine shard's goroutine during a
+// RouterWoken may fire from an engine shard's goroutine during a
 // concurrent sweep — always for a router the calling shard owns — so
-// implementations must stage per-router counters into per-shard lanes
-// (the same discipline as SetStatsLanes). EpochDecision and ModeSwitched
-// only fire from the engine goroutine's epoch-boundary sweep.
+// implementations must stage what it records into per-shard lanes (the
+// same discipline as SetStatsLanes). EpochDecision only fires from the
+// engine goroutine's epoch-boundary sweep.
 type EventObserver interface {
-	// RouterGated fires on an Active -> Inactive transition.
-	RouterGated(routerID int)
 	// RouterWoken fires on an Inactive -> Wakeup transition; offTicks is
 	// the length of the gating period that just ended, and stallTicks the
 	// number of base ticks the router will now spend charging up before
 	// it can move flits (the deterministic wakeup-stall duration at the
 	// router's current mode frequency), both in base ticks.
 	RouterWoken(routerID int, offTicks, stallTicks int64)
-	// ModeSwitched fires when an epoch decision starts a voltage switch.
-	ModeSwitched(routerID int, from, to power.Mode)
 	// EpochDecision fires for every selector run: measured is the closing
 	// epoch's IBU, predicted the IBU the selector derived its mode from
 	// (equal to measured for non-predictive selectors).
@@ -329,24 +328,17 @@ func NewController(numRouters int, spec Spec) *Controller {
 	return c
 }
 
-// SetStatsLanes splits the activity counters into one lane per shard so
-// concurrent sweeps never write the same counter word. starts[i] is the
-// first router ID of shard i (starts[0] must be 0); every router from
-// starts[i] up to the next start accrues into lane i. Counter placement
-// does not affect the summed Stats, so lane layout is invisible to
-// results.
-func (c *Controller) SetStatsLanes(starts []int) {
-	if len(starts) == 0 || starts[0] != 0 {
-		panic("policy: stats lanes must start at router 0")
+// SetStatsLanes splits the activity counters into lanes stats lanes so
+// concurrent sweeps never write the same counter word: router r accrues
+// into lane laneOf[r]. The engine passes its router→shard map, which the
+// controller keeps and only reads. Counter placement does not affect the
+// summed Stats, so lane layout is invisible to results.
+func (c *Controller) SetStatsLanes(laneOf []uint8, lanes int) {
+	if len(laneOf) != len(c.pm) {
+		panic("policy: stats lane map does not cover every router")
 	}
-	c.stats = make([]Stats, len(starts))
-	lane := 0
-	for r := range c.laneOf {
-		for lane+1 < len(starts) && r >= starts[lane+1] {
-			lane++
-		}
-		c.laneOf[r] = uint8(lane)
-	}
+	c.stats = make([]Stats, lanes)
+	c.laneOf = laneOf
 }
 
 // SetNetView attaches the network view; required before Advance.
@@ -644,9 +636,6 @@ func (c *Controller) PostCycle(routerID int) {
 		pm.offSince = c.now
 		pm.idleCycles = 0
 		c.stats[c.laneOf[routerID]].Gatings++
-		if c.obs != nil {
-			c.obs.RouterGated(routerID)
-		}
 	}
 }
 
@@ -676,9 +665,6 @@ func (c *Controller) EpochBoundary(routerID int, ibu float64, feats []float64) {
 	// new clock, billing static power at the higher of the two modes.
 	st.ModeSwitches++
 	old := pm.mode
-	if c.obs != nil {
-		c.obs.ModeSwitched(routerID, old, m)
-	}
 	pm.mode = m
 	pm.switchLeft = vr.CostsFor(m).TSwitch
 	pm.switchBill = old

@@ -1,10 +1,10 @@
 // Observability-layer integration tests: per-shard metric lanes must
-// fold to the serial run's totals, the obs mirrors must agree with both
-// the engine's Result diagnostics and the controller's policy.Stats (one
-// source of truth, cross-checked), the engine-phase tracer must emit
-// valid Chrome trace_event JSONL covering the sweep/landing/barrier
-// phases, and sourcing the per-epoch series through obs must leave the
-// figure pipeline's CSV bytes untouched.
+// fold to the serial run's totals, the counts the obs fold reads from the
+// engine and the controller must reach the snapshot intact (it agrees
+// with Result's diagnostics and policy.Stats), the engine-phase tracer
+// must emit valid Chrome trace_event JSONL covering the
+// sweep/landing/barrier phases, and sourcing the per-epoch series
+// through obs must leave the figure pipeline's CSV bytes untouched.
 package sim_test
 
 import (
@@ -157,11 +157,12 @@ func TestObsLaneFoldMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestObsMirrorsEngineDiagnostics pins the one-source-of-truth contract:
-// the obs snapshot's scheduling mirrors must equal the engine's Result
-// diagnostics, and its event totals must equal the controller's
-// policy.Stats, on a run that exercises every accelerated path
-// (concurrent sweeps, parallel wire landings, lazy deferral).
+// TestObsMirrorsEngineDiagnostics checks the fold plumbing: the engine
+// and the controller are the only stores of their counts, and the obs
+// snapshot derived from them at the final fold must equal the Result
+// diagnostics and policy.Stats read from the same stores, on a run that
+// exercises every accelerated path (concurrent sweeps, parallel wire
+// landings, lazy deferral).
 func TestObsMirrorsEngineDiagnostics(t *testing.T) {
 	res, m := runObserved(t, 4, 2, nil)
 	snap := m.Snapshot()
@@ -196,12 +197,23 @@ func TestObsMirrorsEngineDiagnostics(t *testing.T) {
 	if snap.EpochDecisions != res.Policy.EpochDecisions {
 		t.Errorf("obs EpochDecisions %d != policy %d", snap.EpochDecisions, res.Policy.EpochDecisions)
 	}
+	if snap.DecisionsByMode != res.Policy.ModeDecisions {
+		t.Errorf("obs DecisionsByMode %v != policy ModeDecisions %v", snap.DecisionsByMode, res.Policy.ModeDecisions)
+	}
 	var sweeps int64
 	for _, n := range snap.ShardSweeps {
 		sweeps += n
 	}
 	if sweeps == 0 {
 		t.Error("no per-shard sweeps recorded")
+	}
+	if len(snap.ShardSweeps) != len(res.ShardLoad) {
+		t.Fatalf("obs has %d shard sweep counts, Result %d shard loads", len(snap.ShardSweeps), len(res.ShardLoad))
+	}
+	for si, load := range res.ShardLoad {
+		if load > 0 && snap.ShardSweeps[si] == 0 {
+			t.Errorf("shard %d stepped %d router-ticks but obs counts no sweep of it", si, load)
+		}
 	}
 	if snap.Tick != res.Ticks {
 		t.Errorf("obs Tick %d != Result.Ticks %d", snap.Tick, res.Ticks)

@@ -188,6 +188,12 @@ func (c *Config) applyDefaults() error {
 	if err := network.RouterConfig(c.Topo, c.VCs, c.Depth, c.Pipeline).Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	if c.LinkTicks < 0 {
+		return fmt.Errorf("sim: negative link latency %d", c.LinkTicks)
+	}
+	if c.EpochTicks < 0 {
+		return fmt.Errorf("sim: negative epoch length %d", c.EpochTicks)
+	}
 	if c.PunchHops == 0 {
 		c.PunchHops = DefaultPunchHops
 	}
@@ -295,10 +301,10 @@ type Result struct {
 	// workers through their own staging lanes instead of serially on the
 	// engine goroutine. It is 0 when Shards is 1, when LinkTicks is 0
 	// (zero-latency links land inline), or when no due transit coincided
-	// with a concurrent tick. Diagnostic only, like ParallelTicks. All
-	// four scheduling diagnostics above are mirrored by an attached
-	// obs.Metrics (Config.Obs), whose snapshot must agree with them —
-	// the obs tests cross-check the two so neither count can rot.
+	// with a concurrent tick. Diagnostic only, like ParallelTicks. The
+	// engine is the only store of these scheduling counts: an attached
+	// obs.Metrics (Config.Obs) reads them at each epoch fold rather than
+	// counting its own copy.
 	ParallelLandings int64
 	// ShardLoad[i] counts the router-ticks shard i's worker actually
 	// stepped (swept active-set members; deferred catch-up excluded) —
@@ -408,6 +414,7 @@ type shardState struct {
 
 	lazyTicks int64 // router-ticks covered by deferred catch-up
 	swept     int64 // router-ticks actually stepped by this shard's worker
+	sweeps    int64 // active-set sweeps of this shard
 
 	// Arm min-heap (parallel arrays, keyed by armT): deferred routers
 	// whose only pending event is their idle-gating countdown, keyed by
@@ -507,9 +514,10 @@ type engine struct {
 	dataset   *ml.Dataset
 
 	// Observability (package obs). obsM owns the per-epoch series and
-	// mirrors the scheduling diagnostics; tr emits engine-phase spans.
-	// Both are nil unless attached (or, for obsM, implied by
-	// CollectSeries), and every use is a branch on the nil pointer.
+	// derives its counts from the engine's and the controller's at each
+	// fold; tr emits engine-phase spans. Both are nil unless attached (or,
+	// for obsM, implied by CollectSeries), and every use is a branch on
+	// the nil pointer.
 	obsM *obs.Metrics
 	tr   *obs.Tracer
 
@@ -544,7 +552,8 @@ type engine struct {
 	// read a flat array instead of dereferencing *Router.
 	occ []int32
 
-	shardLoadBuf []int64 // scratch for epoch-fold ShardLoad snapshots
+	// Scratch for the per-shard slices of an obs.EpochFold reading.
+	shardLoadBuf, shardSweepBuf []int64
 
 	bar       tickBarrier
 	exited    sync.WaitGroup // joins the shard workers at stopWorkers
@@ -648,13 +657,10 @@ func (e *engine) catchUpTo(r int, target int64) {
 	if cycles := e.ctrl.FastForward(r, delta); cycles > 0 {
 		e.net.Routers[r].SkipCycles(cycles)
 	}
+	// Owner-only: during a concurrent sweep this is only reached via
+	// WakeRequest, whose targets the isolation predicate keeps inside the
+	// calling shard.
 	e.shards[e.shardOf[r]].lazyTicks += delta
-	if e.obsM != nil {
-		// Owner-only like the lazyTicks write above: during a concurrent
-		// sweep this is only reached via WakeRequest, whose targets the
-		// isolation predicate keeps inside the calling shard.
-		e.obsM.OnLazyCatchUp(int(e.shardOf[r]), delta)
-	}
 	e.lastTick[r] = target
 }
 
@@ -783,9 +789,7 @@ func (e *engine) stepRouter(r, shard int) {
 // tick at activation.
 func (e *engine) sweepShard(si int, tick int64) {
 	s := &e.shards[si]
-	if e.obsM != nil {
-		e.obsM.OnSweep(si)
-	}
+	s.sweeps++
 	for wi := range s.active {
 		base := s.lo + wi<<6
 		w := s.active[wi]
@@ -855,13 +859,33 @@ func (e *engine) activeCount() int {
 	return n
 }
 
-// shardLoads snapshots the per-shard swept-router-tick counters into the
-// engine's scratch buffer (valid until the next call).
-func (e *engine) shardLoads() []int64 {
-	for si := range e.shards {
-		e.shardLoadBuf[si] = e.shards[si].swept
+// reading gathers the cumulative counts the engine and the controller
+// keep, as of tick now, into an obs.EpochFold: the only copy an obs fold
+// sees, and the source of Result's diagnostics. Its per-shard slices are
+// the engine's scratch buffers, valid until the next call.
+func (e *engine) reading(now int64) obs.EpochFold {
+	hits, misses := e.net.PoolStats()
+	f := obs.EpochFold{
+		Now:                 now,
+		FlitsDelivered:      e.net.FlitsDelivered(),
+		ActiveRouters:       e.activeCount(),
+		PoolHits:            hits,
+		PoolMisses:          misses,
+		ShardLoad:           e.shardLoadBuf,
+		ShardSweeps:         e.shardSweepBuf,
+		Policy:              e.ctrl.Stats(),
+		ParallelTicks:       e.parallelTicks,
+		ParallelLandings:    e.parallelLandings,
+		FastForwardedTicks:  e.ffTicks,
+		HorizonSkippedTicks: e.horizonTicks,
 	}
-	return e.shardLoadBuf
+	for si := range e.shards {
+		s := &e.shards[si]
+		f.LazyTicks += s.lazyTicks
+		e.shardLoadBuf[si] = s.swept
+		e.shardSweepBuf[si] = s.sweeps
+	}
+	return f
 }
 
 // Run executes one simulation.
@@ -925,7 +949,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.shardOf = make([]uint8, nR)
 	e.minActive = cfg.ShardMinActive
 	e.shardLoadBuf = make([]int64, k)
-	laneStarts := make([]int, k)
+	e.shardSweepBuf = make([]int64, k)
 	row := 0
 	for si := range e.shards {
 		if si > 0 {
@@ -939,17 +963,16 @@ func newEngine(cfg Config) (*engine, error) {
 		s.lo, s.hi = row*width, (row+h)*width
 		s.active = make([]uint64, (s.hi-s.lo+63)/64)
 		s.loopPos = s.lo
-		laneStarts[si] = s.lo
 		for r := s.lo; r < s.hi; r++ {
 			e.shardOf[r] = uint8(si)
 		}
 		row += h
 	}
 	e.net.SetShards(k)
-	e.ctrl.SetStatsLanes(laneStarts)
+	e.ctrl.SetStatsLanes(e.shardOf, k)
 
-	// Observability wiring. Metrics lanes mirror the shard layout just
-	// built (laneStarts), so shard-goroutine hooks stay owner-only; the
+	// Observability wiring. Metrics lanes follow the shard map just built
+	// (shardOf), so shard-goroutine hooks stay owner-only; the
 	// controller's event hooks activate only here, when an observer is
 	// actually attached.
 	if cfg.Obs != nil {
@@ -967,7 +990,7 @@ func newEngine(cfg Config) (*engine, error) {
 		runLabel = cfg.Spec.Name + "/" + cfg.Trace.Name
 	}
 	if e.obsM != nil {
-		e.obsM.BindRun(runLabel, laneStarts, nR, cfg.EpochTicks, cfg.CollectSeries)
+		e.obsM.BindRun(runLabel, e.shardOf, k, cfg.EpochTicks, cfg.CollectSeries)
 		e.ctrl.SetObserver(e.obsM)
 	}
 	if e.tr != nil {
@@ -1159,17 +1182,11 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 					}
 					if e.net.Quiescent() {
 						e.ffTicks += delta
-						if e.obsM != nil {
-							e.obsM.OnFastForward(delta)
-						}
 						if e.tr != nil {
 							e.tr.Span(obs.EngineTrack, "fast-forward", "", tick, delta)
 						}
 					} else {
 						e.horizonTicks += delta
-						if e.obsM != nil {
-							e.obsM.OnHorizonSkip(delta)
-						}
 						if e.tr != nil {
 							e.tr.Span(obs.EngineTrack, "horizon-skip", "", tick, delta)
 						}
@@ -1215,9 +1232,6 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				e.parallelLandings += int64(staged)
 				e.sweepConcurrent(tick)
 				e.parallelTicks++
-				if e.obsM != nil {
-					e.obsM.OnParallelTick(staged)
-				}
 				if e.tr != nil {
 					// Emitted after the barrier, from the engine goroutine —
 					// the tracer is never touched by shard workers.
@@ -1296,14 +1310,7 @@ func (e *engine) finish() {
 		// Fold whatever accrued after the last epoch boundary (partial
 		// epochs, the final catch-up flush) so the snapshot covers the
 		// whole run.
-		hits, misses := e.net.PoolStats()
-		e.obsM.FinishRun(e.tick, obs.EpochFold{
-			FlitsDelivered: e.net.FlitsDelivered(),
-			ActiveRouters:  e.activeCount(),
-			PoolHits:       hits,
-			PoolMisses:     misses,
-			ShardLoad:      e.shardLoads(),
-		})
+		e.obsM.FinishRun(e.reading(e.tick))
 	}
 	if e.tr != nil {
 		// Close this run's pending spans and push them to the writer; the
@@ -1375,16 +1382,9 @@ func (e *engine) epochBoundary(now timing.Tick) {
 	// live snapshot. It runs here — after Commit and the catch-up
 	// barrier, with no shard worker holding a claim — which makes the
 	// single-threaded drain of the shard lanes safe.
-	hits, misses := e.net.PoolStats()
-	driftFired := e.obsM.FoldEpoch(obs.EpochFold{
-		Now:            int64(now),
-		SumIBU:         sumIBU,
-		FlitsDelivered: e.net.FlitsDelivered(),
-		ActiveRouters:  e.activeCount(),
-		PoolHits:       hits,
-		PoolMisses:     misses,
-		ShardLoad:      e.shardLoads(),
-	}, e.ctrl, e.meter)
+	f := e.reading(int64(now))
+	f.SumIBU = sumIBU
+	driftFired := e.obsM.FoldEpoch(f, e.ctrl, e.meter)
 	if driftFired && e.tr != nil {
 		// Mark the stale-weights moment on the engine track so the drift
 		// is visible in the Chrome trace timeline next to the epoch scan.
@@ -1400,28 +1400,24 @@ func (e *engine) result(ticks int64, drained bool) *Result {
 	if e.cfg.Trace != nil {
 		traceName = e.cfg.Trace.Name
 	}
-	var lazyTicks int64
-	for si := range e.shards {
-		lazyTicks += e.shards[si].lazyTicks
-	}
-	shardLoad := make([]int64, len(e.shards))
-	copy(shardLoad, e.shardLoads())
+	f := e.reading(ticks)
+	shardLoad := append([]int64(nil), f.ShardLoad...)
 	res := &Result{
 		Model:                  e.cfg.Spec.Name,
 		Trace:                  traceName,
 		Ticks:                  ticks,
 		Drained:                drained,
-		FastForwardedTicks:     e.ffTicks,
-		HorizonSkippedTicks:    e.horizonTicks,
-		LazySkippedRouterTicks: lazyTicks,
-		ParallelTicks:          e.parallelTicks,
-		ParallelLandings:       e.parallelLandings,
+		FastForwardedTicks:     f.FastForwardedTicks,
+		HorizonSkippedTicks:    f.HorizonSkippedTicks,
+		LazySkippedRouterTicks: f.LazyTicks,
+		ParallelTicks:          f.ParallelTicks,
+		ParallelLandings:       f.ParallelLandings,
 		ShardLoad:              shardLoad,
 		ShardLoadImbalance:     obs.ShardImbalance(shardLoad),
 		PacketsInjected:        e.net.PacketsInjected(),
 		PacketsDelivered:       e.net.PacketsDelivered(),
-		FlitsDelivered:         e.net.FlitsDelivered(),
-		Policy:                 e.ctrl.Stats(),
+		FlitsDelivered:         f.FlitsDelivered,
+		Policy:                 f.Policy,
 		Dataset:                e.dataset,
 	}
 	if e.nLatency > 0 {

@@ -324,6 +324,8 @@ func TestConfigRejectsBadRouterSizing(t *testing.T) {
 		{"negative pipeline", Config{Topo: mesh, Pipeline: -2}},
 		{"mesh ports x VCs over 64", Config{Topo: mesh, VCs: 14}},
 		{"cmesh ports x VCs over 64", Config{Topo: cmesh, VCs: 10}},
+		{"negative link latency", Config{Topo: mesh, LinkTicks: -1}},
+		{"negative epoch length", Config{Topo: mesh, EpochTicks: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,7 +41,8 @@ type Spec struct {
 	Benches []string `json:"benches,omitempty"`
 	// Seeds lists trace-generator seeds. Default: 1.
 	Seeds []int64 `json:"seeds,omitempty"`
-	// EpochTicks lists DVFS epoch lengths in base ticks. Default: 500.
+	// EpochTicks lists DVFS epoch lengths in base ticks, each at least 1.
+	// Default: 500.
 	EpochTicks []int64 `json:"epoch_ticks,omitempty"`
 	// Compress lists trace time-compression factors. Default: 1.
 	Compress []int64 `json:"compress,omitempty"`
@@ -199,6 +200,11 @@ func (s *Spec) Expand() ([]Run, error) {
 	for _, b := range d.Benches {
 		if _, ok := traffic.ProfileByName(b); !ok {
 			return nil, fmt.Errorf("sweep: unknown benchmark %q", b)
+		}
+	}
+	for _, ep := range d.EpochTicks {
+		if ep < 1 {
+			return nil, fmt.Errorf("sweep: epoch length %d < 1", ep)
 		}
 	}
 	for _, c := range d.Compress {

@@ -74,6 +74,8 @@ func TestSweepExpand(t *testing.T) {
 		{Models: []string{"mystery"}},
 		{Topos: []string{"torus3x3"}},
 		{Compress: []int64{0}},
+		{EpochTicks: []int64{0}},
+		{EpochTicks: []int64{-500}},
 		{Seeds: []int64{1, 1}}, // duplicate axis value -> duplicate run ID
 	} {
 		if _, err := bad.Expand(); err == nil {
