@@ -1,9 +1,8 @@
 GO ?= go
-BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
-# bench-gate baseline: newest committed snapshot unless overridden.
-BASE ?= $(shell ls BENCH_*.json 2>/dev/null | sort | tail -1)
+# bench-gate base revision (any git rev).
+BASE ?= HEAD
 
-.PHONY: build test vet race race-sharded fuzz-smoke bench bench-compare bench-gate obs-overhead metrics-lint drift-smoke sweep-smoke perfbench-test check golden-update
+.PHONY: build test vet race race-sharded fuzz-smoke bench bench-gate obs-overhead metrics-lint drift-smoke sweep-smoke perfbench-test check golden-update
 
 build:
 	$(GO) build ./...
@@ -61,54 +60,46 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsReference -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSweepSpec -fuzztime 10s ./internal/sweep
 
-# Benchmark snapshot: the JSON log (test2json stream) goes to
-# $(BENCH_FILE) for later comparison; the human-readable text is echoed
-# via cmd/benchtxt.
 bench:
-	$(GO) test -bench=. -benchmem -json . > $(BENCH_FILE)
-	$(GO) run ./cmd/benchtxt $(BENCH_FILE)
+	$(GO) test -bench=. -benchmem .
 
-# Diff two bench snapshots: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-# Prefers benchstat when installed; the cmd/benchtxt fallback applies the
-# same significance convention (Mann-Whitney U at alpha=0.05, `~` for
-# indistinguishable deltas), so both paths agree on what changed.
-bench-compare:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json"; exit 2; }
-	@if command -v benchstat >/dev/null 2>&1; then \
-		$(GO) run ./cmd/benchtxt $(OLD) > $(OLD).txt; \
-		$(GO) run ./cmd/benchtxt $(NEW) > $(NEW).txt; \
-		benchstat $(OLD).txt $(NEW).txt; \
-	else \
-		$(GO) run ./cmd/benchtxt -compare $(OLD) $(NEW); \
-	fi
-
-# Benchmark regression gate: rerun the scheduling benchmarks and compare
-# against the committed baseline (newest BENCH_*.json unless BASE= is
-# given), failing on >10% regression of the min-of-runs ns/op via
-# cmd/benchtxt -gate (min, not mean, so a noisy runner needs every run
-# disturbed to trip it; raise COUNT for more samples per benchmark).
+# Same-host A/B regression gate: build the root test binary at $(BASE)
+# (a git worktree under a temp dir) and from the working tree, run the
+# scheduling benchmarks as GATE_PAIRS alternating base/change pairs,
+# swapping the order each pair, and fail if any benchmark's median
+# paired ns/op ratio (stats.Paired via cmd/benchtxt) is more than 10%
+# above 1. Interference only rarely hits both runs of one pair the same
+# way, so the ratio's median reads through the host's noise.
 GATE_BENCHES = BenchmarkHotspot|BenchmarkBigMesh|BenchmarkBigMeshWire|BenchmarkMediumLoad|BenchmarkBursty|BenchmarkClosedLoopMcsim
-COUNT ?= 1
+GATE_PAIRS ?= 5
 bench-gate:
-	@test -n "$(BASE)" || { echo "bench-gate: no BENCH_*.json baseline found (set BASE=)"; exit 2; }
-	$(GO) test -bench='$(GATE_BENCHES)' -benchmem -count=$(COUNT) -json . > .bench-gate.json
-	$(GO) run ./cmd/benchtxt -gate -pattern '$(GATE_BENCHES)' -max-regress 10 $(BASE) .bench-gate.json
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .); \
+	$(GO) test -c -o "$$tmp/change.test" .; \
+	for i in $$(seq $(GATE_PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		for arm in $$order; do \
+			if [ $$arm = base ]; then dir="$$tmp/base"; else dir=.; fi; \
+			(cd "$$dir" && "$$tmp/$$arm.test" -test.run '^$$' -test.bench '$(GATE_BENCHES)' -test.benchmem) >> "$$tmp/$$arm.txt"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchtxt -max-regress 10 "$$tmp/base.txt" "$$tmp/change.txt"
 
-# Observability overhead gate: BenchmarkMediumLoad with obs disabled vs
-# enabled-but-unsubscribed (DOZZNOC_OBS=1 makes bench_test.go attach a
-# Metrics with no tracer and no endpoint reader). The attached layer now
-# includes the full prediction-quality recorder — per-lane histograms,
-# mispredict-cost attribution, and the Page-Hinkley drift detector
-# (DESIGN.md §5j) — so this gate covers the whole pipeline, not just the
-# counters. Both runs produce the same benchmark names, so cmd/benchtxt
-# -gate compares them directly; the enabled run must stay within 2% of
-# the disabled run's min-of-runs ns/op — the layer is required to be
-# near-free even when someone leaves it attached.
-OBS_COUNT ?= 5
+# Observability overhead gate: BenchmarkObsOverhead times the
+# BenchmarkMediumLoad activeset run with obs disabled and with an
+# enabled-but-unsubscribed Metrics (no tracer, no endpoint reader) as
+# alternating pairs in one process, and fails if the median paired
+# obs-on/obs-off ratio (stats.Paired) is more than 2% above 1. The
+# attached layer includes the full prediction-quality recorder —
+# per-lane histograms, mispredict-cost attribution, and the Page-Hinkley
+# drift detector (DESIGN.md §5j) — so the gate covers the whole
+# pipeline: the layer must stay near-free even when someone leaves it
+# attached. Building with -tags obsslowdown adds 3% to the obs-on arm,
+# which must fail the gate (obs_slowdown_test.go).
 obs-overhead:
-	$(GO) test -bench=BenchmarkMediumLoad -benchmem -count=$(OBS_COUNT) -json . > .obs-off.json
-	DOZZNOC_OBS=1 $(GO) test -bench=BenchmarkMediumLoad -benchmem -count=$(OBS_COUNT) -json . > .obs-on.json
-	$(GO) run ./cmd/benchtxt -gate -pattern 'BenchmarkMediumLoad' -max-regress 2 .obs-off.json .obs-on.json
+	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 1x .
 
 # Exposition-format gate: render the fixed-trace golden snapshot and
 # scrape a live /metrics endpoint, validating both with the vendored

@@ -9,8 +9,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/vr"
@@ -322,17 +324,7 @@ func BenchmarkClosedLoopMcsim(b *testing.B) {
 // runActiveSetBench runs one trace under the gating DozzNoC model on
 // the default engine, asserting the lazy path actually engaged, or on
 // the reference engine (every tick, every router; Config.Reference).
-//
-// With DOZZNOC_OBS=1 in the environment each run also attaches an
-// enabled-but-unsubscribed obs.Metrics (no tracer, no endpoint reader).
-// `make obs-overhead` runs BenchmarkMediumLoad with and without the
-// variable and gates the delta, so the observability layer's hook cost
-// is measured on the same benchmark names benchtxt already tracks.
 func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, reference bool) {
-	var observer *obs.Observer
-	if os.Getenv("DOZZNOC_OBS") != "" {
-		observer = obs.New()
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
@@ -340,7 +332,6 @@ func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, 
 			Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
 			Trace:     tr,
 			Reference: reference,
-			Obs:       observer,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -348,10 +339,12 @@ func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, 
 		if !reference && res.LazySkippedRouterTicks == 0 {
 			b.Fatal("active-set deferral never engaged")
 		}
-		if observer != nil && observer.Metrics.Snapshot().LazyTicks != res.LazySkippedRouterTicks {
-			b.Fatal("obs mirror disagrees with engine diagnostics")
-		}
 	}
+}
+
+// mediumLoadTrace is BenchmarkMediumLoad's workload.
+func mediumLoadTrace(topo topology.Topology) *traffic.Trace {
+	return traffic.Synthetic(topo, traffic.UniformRandom, 0.002, 30_000, 1)
 }
 
 // BenchmarkMediumLoad measures active-set scheduling under sustained
@@ -360,9 +353,78 @@ func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, 
 // any instant most routers are idle and deferrable.
 func BenchmarkMediumLoad(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
-	tr := traffic.Synthetic(topo, traffic.UniformRandom, 0.002, 30_000, 1)
+	tr := mediumLoadTrace(topo)
 	b.Run("activeset", func(b *testing.B) { runActiveSetBench(b, topo, tr, false) })
 	b.Run("reference", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
+}
+
+// obsPairs is the number of obs-off/obs-on run pairs per b.N iteration
+// of BenchmarkObsOverhead, and obsOverheadBound the percent by which the
+// median pair ratio may exceed 1 (`make obs-overhead`).
+const (
+	obsPairs         = 60
+	obsOverheadBound = 2.0
+)
+
+// obsOnSlowdown stretches every obs-on run by this fraction of its own
+// time. It is 0 except in the obsslowdown build (obs_slowdown_test.go),
+// which proves the gate can see a slowdown just above its bound.
+var obsOnSlowdown float64
+
+// BenchmarkObsOverhead is the observability overhead gate: the
+// BenchmarkMediumLoad activeset run with obs disabled against the same
+// run with an enabled-but-unsubscribed Metrics (no tracer, no endpoint
+// reader), which includes the prediction-quality recorder — histograms,
+// mispredict-cost attribution and the drift detector (DESIGN.md §5j).
+// The two arms alternate inside this one process, swapping their order
+// each pair, and every run is timed on its own; stats.Paired of the
+// pairs gives the median obs-on/obs-off ratio, and the benchmark fails
+// if it is more than obsOverheadBound percent above 1. One Observer
+// serves every obs-on run, as a long-lived daemon's would.
+func BenchmarkObsOverhead(b *testing.B) {
+	topo := topology.NewMesh(8, 8)
+	tr := mediumLoadTrace(topo)
+	observer := obs.New()
+	run := func(o *obs.Observer) float64 {
+		runtime.GC()
+		start := time.Now()
+		res, err := sim.Run(sim.Config{
+			Topo:  topo,
+			Spec:  policy.DozzNoC(policy.ReactiveSelector{}),
+			Trace: tr,
+			Obs:   o,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if o != nil && o.Metrics.Snapshot().LazyTicks != res.LazySkippedRouterTicks {
+			b.Fatal("obs disagrees with engine diagnostics")
+		}
+		if o != nil && obsOnSlowdown > 0 {
+			stretch := time.Duration(float64(time.Since(start)) * (1 + obsOnSlowdown))
+			for time.Since(start) < stretch {
+			}
+		}
+		return float64(time.Since(start).Nanoseconds())
+	}
+	pairs := obsPairs * b.N
+	off, on := make([]float64, pairs), make([]float64, pairs)
+	for i := 0; i < pairs; i++ {
+		if i%2 == 0 {
+			off[i], on[i] = run(nil), run(observer)
+		} else {
+			on[i], off[i] = run(observer), run(nil)
+		}
+	}
+	p := stats.Paired(off, on)
+	b.ReportMetric(100*(p.Median-1), "overhead-%")
+	b.ReportMetric(100*(p.Q1-1), "q1-%")
+	b.ReportMetric(100*(p.Q3-1), "q3-%")
+	b.ReportMetric(float64(p.Wins), "on-wins")
+	if p.Regressed(obsOverheadBound) {
+		b.Fatalf("obs overhead %+.2f%% (median of %d pairs, quartiles %+.2f%% %+.2f%%) exceeds %g%%",
+			100*(p.Median-1), p.Pairs, 100*(p.Q1-1), 100*(p.Q3-1), obsOverheadBound)
+	}
 }
 
 // hotspotTrace builds the regime global fast-forward misses entirely: a

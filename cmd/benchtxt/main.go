@@ -1,46 +1,24 @@
-// Command benchtxt works with the JSON benchmark logs written by `make
-// bench` (`go test -bench . -benchmem -json > BENCH_<date>.json`).
+// Command benchtxt is the same-host A/B gate behind `make bench-gate`.
+// It reads two plain-text `go test -bench` outputs, BASE and CHANGE,
+// recorded as alternating pairs on one host, and pairs the i-th run of
+// each benchmark in BASE with its i-th run in CHANGE:
 //
-// With one file it recovers the plain-text benchmark output benchstat
-// consumes, by extracting the output events from the test2json stream:
+//	benchtxt -max-regress 10 base.txt change.txt
 //
-//	benchtxt BENCH_2026-08-05.json > bench.txt
-//
-// With -compare and two files it prints a per-benchmark ns/op delta
-// table itself — a benchstat fallback for environments without the
-// tool (`make bench-compare` prefers benchstat when installed). Like
-// benchstat, the delta is significance-gated: the per-run samples of
-// both sides feed a Mann-Whitney U test, and a benchmark whose change
-// cannot be distinguished from noise at alpha=0.05 prints `~` instead
-// of a misleading percentage, so the fallback and benchstat agree on
-// what counts as a real change:
-//
-//	benchtxt -compare BENCH_old.json BENCH_new.json
-//
-// With -gate it becomes a CI regression gate: like -compare, but the
-// benchmark set can be restricted with -pattern (a regexp on benchmark
-// names) and the exit status is nonzero if any matched benchmark
-// regressed by more than -max-regress percent (`make bench-gate`):
-//
-//	benchtxt -gate -pattern '^BenchmarkHotspot' -max-regress 10 BENCH_base.json BENCH_new.json
-//
-// The gate statistic is the MINIMUM ns/op across a benchmark's runs, not
-// the mean: logs recorded with `-count=N` carry N samples per benchmark,
-// scheduler noise on shared runners only ever adds time, and the fastest
-// run is the closest observation of the code's true cost. A single slow
-// outlier therefore cannot trip the gate (it would dominate a mean), and
-// when a benchmark does trip, every new-side run is printed with its
-// delta against the base minimum so the log shows which runs drove it.
+// For every benchmark present on both sides it prints stats.Paired of
+// the ns/op samples: the median change/base ratio with its quartiles,
+// how many pairs the change won, and the Mann-Whitney p of the two
+// samples. It exits nonzero if any median ratio is more than
+// -max-regress percent above 1. Benchmarks present on one side only are
+// ignored: a new benchmark has no base, and a retired one gates nothing.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,115 +26,45 @@ import (
 	"repro/internal/stats"
 )
 
-// event is the subset of a test2json record benchtxt needs.
-type event struct {
-	Action string `json:"Action"`
-	Output string `json:"Output"`
-}
-
 func main() {
-	compare := flag.Bool("compare", false, "compare two JSON benchmark logs (old new)")
-	gate := flag.Bool("gate", false, "compare two logs and exit nonzero on ns/op regression beyond -max-regress")
-	pattern := flag.String("pattern", "", "regexp restricting which benchmarks -gate checks (default: all common)")
-	maxRegress := flag.Float64("max-regress", 10, "allowed mean ns/op regression percent for -gate")
+	maxRegress := flag.Float64("max-regress", 10, "allowed median ns/op regression percent")
 	flag.Parse()
-	args := flag.Args()
+	if flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchtxt [-max-regress PCT] BASE.txt CHANGE.txt")
+		os.Exit(2)
+	}
 	// Stdout is buffered, and the flush error is checked like any other
 	// output path: a full disk or closed pipe at flush time must not
 	// hide behind exit code 0.
 	out := bufio.NewWriter(os.Stdout)
-	var err error
-	switch {
-	case *gate && len(args) == 2:
-		err = gateFiles(out, args[0], args[1], *pattern, *maxRegress)
-	case *compare && !*gate && len(args) == 2:
-		err = compareFiles(out, args[0], args[1])
-	case !*compare && !*gate && len(args) == 1:
-		err = dumpText(out, args[0])
-	default:
-		fmt.Fprintln(os.Stderr, "usage: benchtxt FILE.json | benchtxt -compare OLD.json NEW.json | benchtxt -gate [-pattern RE] [-max-regress PCT] BASE.json NEW.json")
-		os.Exit(2)
-	}
+	err := gate(out, flag.Arg(0), flag.Arg(1), *maxRegress)
 	if ferr := out.Flush(); ferr != nil && err == nil {
 		err = ferr
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "benchtxt:", err)
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchtxt:", err)
-	os.Exit(1)
-}
-
-// outputLines streams the Output payload of every output event in a
-// test2json log to fn.
-func outputLines(path string, fn func(line string)) error {
+// parseBench returns each benchmark's ns/op samples in file order, keyed
+// by name with the GOMAXPROCS suffix stripped.
+func parseBench(path string) (map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
+	out := make(map[string][]float64)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			// Tolerate stray non-JSON lines (e.g. build output).
-			continue
-		}
-		if ev.Action == "output" {
-			fn(ev.Output)
-		}
-	}
-	return sc.Err()
-}
-
-func dumpText(w io.Writer, path string) error {
-	return outputLines(path, func(line string) { fmt.Fprint(w, line) })
-}
-
-// result is one benchmark's aggregated measurements.
-type result struct {
-	runs    int
-	nsOp    float64 // summed, averaged at report time
-	bOp     float64
-	allocs  float64
-	samples []float64 // per-run ns/op, in log order (-count=N gives N)
-}
-
-// mean is the average ns/op across runs — the -compare statistic.
-func (r *result) mean() float64 { return r.nsOp / float64(r.runs) }
-
-// min is the fastest run's ns/op — the -gate statistic (robust to noisy
-// runners: interference only ever slows a run down).
-func (r *result) min() float64 {
-	m := r.samples[0]
-	for _, s := range r.samples[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return m
-}
-
-// parseBench collects per-benchmark means keyed by name (GOMAXPROCS
-// suffix stripped, so -cpu sweeps of the same benchmark aggregate).
-// test2json splits a benchmark's name and its measurements into
-// separate output events (the name chunk ends in a tab, not a newline),
-// so chunks are reassembled into logical lines before parsing.
-func parseBench(path string) (map[string]*result, error) {
-	out := make(map[string]*result)
-	var pending strings.Builder
-	parseLine := func(line string) {
-		fields := strings.Fields(line)
+		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			return
+			continue
 		}
 		nsOp, ok := metric(fields, "ns/op")
 		if !ok {
-			return
+			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
@@ -164,35 +72,9 @@ func parseBench(path string) (map[string]*result, error) {
 				name = name[:i]
 			}
 		}
-		r := out[name]
-		if r == nil {
-			r = &result{}
-			out[name] = r
-		}
-		r.runs++
-		r.nsOp += nsOp
-		r.samples = append(r.samples, nsOp)
-		if v, ok := metric(fields, "B/op"); ok {
-			r.bOp += v
-		}
-		if v, ok := metric(fields, "allocs/op"); ok {
-			r.allocs += v
-		}
+		out[name] = append(out[name], nsOp)
 	}
-	err := outputLines(path, func(chunk string) {
-		pending.WriteString(chunk)
-		if !strings.HasSuffix(chunk, "\n") {
-			return
-		}
-		for _, line := range strings.Split(pending.String(), "\n") {
-			parseLine(line)
-		}
-		pending.Reset()
-	})
-	for _, line := range strings.Split(pending.String(), "\n") {
-		parseLine(line)
-	}
-	return out, err
+	return out, sc.Err()
 }
 
 // metric finds `<value> <unit>` in a benchmark line's fields.
@@ -206,98 +88,43 @@ func metric(fields []string, unit string) (float64, bool) {
 	return 0, false
 }
 
-// compareFiles prints the benchstat-fallback delta table. The per-run
-// ns/op samples of both sides feed stats.CompareSamples: the delta
-// column shows a percentage only when a Mann-Whitney U test rejects
-// "same distribution" at stats.Alpha, and `~` otherwise — benchstat's
-// convention, so the fallback never claims a change benchstat would
-// call noise. With a single run per side nothing is ever significant;
-// record logs with -count=4 or more to give the test power.
-func compareFiles(w io.Writer, oldPath, newPath string) error {
-	oldR, err := parseBench(oldPath)
+// gate prints the paired comparison of every benchmark common to both
+// files and fails if any median ratio exceeds 1 + maxRegress/100.
+func gate(w io.Writer, basePath, changePath string, maxRegress float64) error {
+	base, err := parseBench(basePath)
 	if err != nil {
 		return err
 	}
-	newR, err := parseBench(newPath)
+	change, err := parseBench(changePath)
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(oldR))
-	for name := range oldR {
-		if _, ok := newR[name]; ok {
+	var names []string
+	for name := range base {
+		if _, ok := change[name]; ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		return fmt.Errorf("no common benchmarks between %s and %s", oldPath, newPath)
+		return fmt.Errorf("no common benchmarks between %s and %s", basePath, changePath)
 	}
-	fmt.Fprintf(w, "%-50s %14s %14s %9s %7s %7s\n", "benchmark", "old ns/op", "new ns/op", "delta", "p", "runs")
-	for _, name := range names {
-		o, n := oldR[name], newR[name]
-		d := stats.CompareSamples(o.samples, n.samples)
-		fmt.Fprintf(w, "%-50s %14.0f %14.0f %9s %7.3f %3dv%-3d\n",
-			name, d.OldMean, d.NewMean, d.PctString(), d.U.P, o.runs, n.runs)
-	}
-	fmt.Fprintf(w, "(~ = no significant difference at alpha=%g, Mann-Whitney U)\n", stats.Alpha)
-	return nil
-}
-
-// gateFiles compares base against new like compareFiles, restricted to
-// benchmarks matching pattern, and fails if any regressed beyond
-// maxRegress percent on the min-of-runs ns/op (see the package comment
-// for why min, not mean). For every benchmark that trips, each new-side
-// run is printed with its delta against the base minimum. Benchmarks
-// present on only one side are ignored (new benchmarks have no baseline;
-// retired ones gate nothing).
-func gateFiles(w io.Writer, basePath, newPath, pattern string, maxRegress float64) error {
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		return fmt.Errorf("bad -pattern: %v", err)
-	}
-	baseR, err := parseBench(basePath)
-	if err != nil {
-		return err
-	}
-	newR, err := parseBench(newPath)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(baseR))
-	for name := range baseR {
-		if _, ok := newR[name]; ok && re.MatchString(name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return fmt.Errorf("no common benchmarks matching %q between %s and %s", pattern, basePath, newPath)
-	}
-	fmt.Fprintf(w, "%-50s %14s %14s %8s\n", "benchmark", "base min", "new min", "delta")
+	fmt.Fprintf(w, "%-50s %11s  %-16s %7s %7s\n", "benchmark", "change/base", "[q1, q3]", "wins", "p")
 	var failed []string
 	for _, name := range names {
-		b, n := baseR[name].min(), newR[name].min()
-		delta := 100 * (n - b) / b
+		p := stats.Paired(base[name], change[name])
 		verdict := ""
-		if delta > maxRegress {
+		if p.Regressed(maxRegress) {
 			verdict = "  REGRESSED"
 			failed = append(failed, name)
 		}
-		fmt.Fprintf(w, "%-50s %14.0f %14.0f %+7.1f%%%s\n", name, b, n, delta, verdict)
-		if verdict != "" {
-			for i, s := range newR[name].samples {
-				mark := ""
-				if s == n {
-					mark = "  <- min"
-				}
-				fmt.Fprintf(w, "    new run %d/%d: %.0f ns/op (%+.1f%% vs base min)%s\n",
-					i+1, newR[name].runs, s, 100*(s-b)/b, mark)
-			}
-		}
+		fmt.Fprintf(w, "%-50s %11.3f  [%.3f, %.3f] %3d/%-3d %7.3f%s\n",
+			name, p.Median, p.Q1, p.Q3, p.Wins, p.Pairs, p.P, verdict)
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% on min-of-runs ns/op: %s", len(failed), maxRegress, strings.Join(failed, ", "))
+		return fmt.Errorf("%d benchmark(s) regressed beyond %g%% on the median paired ns/op ratio: %s",
+			len(failed), maxRegress, strings.Join(failed, ", "))
 	}
-	fmt.Fprintf(w, "gate passed: %d benchmark(s) within %.0f%% of %s (min of runs)\n", len(names), maxRegress, basePath)
+	fmt.Fprintf(w, "gate passed: %d benchmark(s) within %g%% (median of paired ns/op ratios)\n", len(names), maxRegress)
 	return nil
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,40 +8,42 @@ import (
 	"testing"
 )
 
-// writeLog writes a synthetic test2json benchmark log. Each benchmark
-// line is split into two output events — the name chunk ending in a tab,
-// then the measurements — the way `go test -json` actually emits them,
-// so the tests also exercise chunk reassembly.
+// writeLog writes a synthetic plain-text `go test -bench` output: a
+// header, the given benchmark lines, and the trailer.
 func writeLog(t *testing.T, path string, lines ...string) {
 	t.Helper()
-	var sb strings.Builder
-	emit := func(out string) {
-		b, err := json.Marshal(event{Action: "output", Output: out})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.Write(b)
-		sb.WriteByte('\n')
-	}
-	emit("goos: linux\n")
-	for _, line := range lines {
-		name, rest, _ := strings.Cut(line, "\t")
-		emit(name + "\t")
-		emit(rest + "\n")
-	}
-	emit("PASS\n")
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	text := "goos: linux\npkg: repro\n" + strings.Join(lines, "\n") + "\nPASS\nok  \trepro\t1.0s\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParseBenchAggregatesCountRuns pins -count=N handling: repeated
-// lines of one benchmark (with a GOMAXPROCS suffix) aggregate under one
-// stripped name, keeping every per-run sample for the min statistic.
+// pairLogs writes base and change logs, one benchmark line per sample.
+func pairLogs(t *testing.T, name string, base, change []string) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
+	writeLog(t, bp, lines(name, base)...)
+	writeLog(t, cp, lines(name, change)...)
+	return bp, cp
+}
+
+func lines(name string, nsOps []string) []string {
+	out := make([]string, len(nsOps))
+	for i, ns := range nsOps {
+		out[i] = name + "-2\t 100\t " + ns + " ns/op\t 64 B/op\t 2 allocs/op"
+	}
+	return out
+}
+
+// TestParseBenchAggregatesCountRuns pins repeated-run handling: lines of
+// one benchmark (with a GOMAXPROCS suffix) collect under one stripped
+// name, in file order, so the i-th run pairs with the other side's i-th.
 func TestParseBenchAggregatesCountRuns(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+	path := filepath.Join(t.TempDir(), "bench.txt")
 	writeLog(t, path,
 		"BenchmarkMesh-8\t 100\t 1200 ns/op\t 64 B/op\t 2 allocs/op",
+		"BenchmarkMesh/sub-8\t 100\t 7 ns/op",
 		"BenchmarkMesh-8\t 100\t 1000 ns/op\t 64 B/op\t 2 allocs/op",
 		"BenchmarkMesh-8\t 100\t 1100 ns/op\t 64 B/op\t 2 allocs/op",
 	)
@@ -51,58 +51,38 @@ func TestParseBenchAggregatesCountRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res["BenchmarkMesh"]
-	if r == nil {
-		t.Fatalf("GOMAXPROCS suffix not stripped; got keys %v", keys(res))
+	got := res["BenchmarkMesh"]
+	if len(got) != 3 || got[0] != 1200 || got[1] != 1000 || got[2] != 1100 {
+		t.Fatalf("BenchmarkMesh samples = %v, want [1200 1000 1100]", got)
 	}
-	if r.runs != 3 || len(r.samples) != 3 {
-		t.Fatalf("runs=%d samples=%d, want 3 and 3", r.runs, len(r.samples))
-	}
-	if got := r.mean(); got != 1100 {
-		t.Errorf("mean = %v, want 1100", got)
-	}
-	if got := r.min(); got != 1000 {
-		t.Errorf("min = %v, want 1000", got)
+	if sub := res["BenchmarkMesh/sub"]; len(sub) != 1 {
+		t.Errorf("sub-benchmark samples = %v", sub)
 	}
 }
 
-// TestGateMinIgnoresNoisySpike is the satellite's point: two of three
-// new-side runs are badly disturbed (a mean gate would read +93% and
-// trip), but the fastest run is within tolerance, so the gate passes.
-func TestGateMinIgnoresNoisySpike(t *testing.T) {
-	dir := t.TempDir()
-	base, new := filepath.Join(dir, "base.json"), filepath.Join(dir, "new.json")
-	writeLog(t, base,
-		"BenchmarkMesh-8\t 100\t 1000 ns/op",
-	)
-	writeLog(t, new,
-		"BenchmarkMesh-8\t 100\t 2900 ns/op",
-		"BenchmarkMesh-8\t 100\t 1050 ns/op",
-		"BenchmarkMesh-8\t 100\t 1850 ns/op",
-	)
-	if err := gateFiles(io.Discard, base, new, "", 10); err != nil {
-		t.Errorf("min-based gate tripped on a noisy spike: %v", err)
+// TestGateIdenticalRunsPass: the same samples on both sides read a
+// median ratio of exactly 1 and pass.
+func TestGateIdenticalRunsPass(t *testing.T) {
+	runs := []string{"1000", "1300", "900", "1100", "1000"}
+	bp, cp := pairLogs(t, "BenchmarkMesh", runs, runs)
+	if err := gate(io.Discard, bp, cp, 10); err != nil {
+		t.Errorf("identical runs failed the gate: %v", err)
 	}
 }
 
-// TestGateTripsOnRealRegression: when even the fastest new run is beyond
-// tolerance, the gate fails and names the offending benchmark; a second
-// benchmark within tolerance does not appear in the failure.
+// TestGateTripsOnRealRegression: a 15% shift in every pair fails the 10%
+// bound and names the regressed benchmark; a second benchmark within
+// tolerance does not appear in the failure.
 func TestGateTripsOnRealRegression(t *testing.T) {
 	dir := t.TempDir()
-	base, new := filepath.Join(dir, "base.json"), filepath.Join(dir, "new.json")
-	writeLog(t, base,
-		"BenchmarkMesh-8\t 100\t 1000 ns/op",
-		"BenchmarkHotspot-8\t 100\t 500 ns/op",
-	)
-	writeLog(t, new,
-		"BenchmarkMesh-8\t 100\t 1400 ns/op",
-		"BenchmarkMesh-8\t 100\t 1300 ns/op",
-		"BenchmarkHotspot-8\t 100\t 510 ns/op",
-	)
-	err := gateFiles(io.Discard, base, new, "", 10)
+	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
+	base := []string{"1000", "1400", "900", "1200", "1000"}
+	shifted := []string{"1150", "1610", "1035", "1380", "1150"}
+	writeLog(t, bp, append(lines("BenchmarkMesh", base), lines("BenchmarkHotspot", base)...)...)
+	writeLog(t, cp, append(lines("BenchmarkMesh", shifted), lines("BenchmarkHotspot", base)...)...)
+	err := gate(io.Discard, bp, cp, 10)
 	if err == nil {
-		t.Fatal("gate passed a +30% min-of-runs regression")
+		t.Fatal("gate passed a 15% paired regression")
 	}
 	if !strings.Contains(err.Error(), "BenchmarkMesh") {
 		t.Errorf("failure does not name the regressed benchmark: %v", err)
@@ -112,81 +92,19 @@ func TestGateTripsOnRealRegression(t *testing.T) {
 	}
 }
 
-// TestGatePatternRestrictsSet: the -pattern regexp excludes non-matching
-// benchmarks from the gate entirely, so a regression outside the pattern
-// does not fail the build.
-func TestGatePatternRestrictsSet(t *testing.T) {
+// TestGateIgnoresOneSidedBenchmarks: a benchmark present in only one file
+// is not gated, however slow; with no common benchmark at all the gate
+// reports an error rather than passing vacuously.
+func TestGateIgnoresOneSidedBenchmarks(t *testing.T) {
 	dir := t.TempDir()
-	base, new := filepath.Join(dir, "base.json"), filepath.Join(dir, "new.json")
-	writeLog(t, base,
-		"BenchmarkMesh-8\t 100\t 1000 ns/op",
-		"BenchmarkHotspot-8\t 100\t 500 ns/op",
-	)
-	writeLog(t, new,
-		"BenchmarkMesh-8\t 100\t 5000 ns/op",
-		"BenchmarkHotspot-8\t 100\t 505 ns/op",
-	)
-	if err := gateFiles(io.Discard, base, new, "^BenchmarkHotspot", 10); err != nil {
-		t.Errorf("pattern-restricted gate tripped on an excluded benchmark: %v", err)
+	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
+	writeLog(t, bp, append(lines("BenchmarkMesh", []string{"1000", "1000"}), lines("BenchmarkRetired", []string{"5"})...)...)
+	writeLog(t, cp, append(lines("BenchmarkMesh", []string{"1000", "1000"}), lines("BenchmarkNew", []string{"99999"})...)...)
+	if err := gate(io.Discard, bp, cp, 10); err != nil {
+		t.Errorf("one-sided benchmarks tripped the gate: %v", err)
 	}
-}
-
-// TestCompareSignificanceGate pins the rewired -compare fallback to the
-// vendored Mann-Whitney machinery: a clean 4v4 separation (exact
-// two-sided p = 2/70) prints its percentage, while a noisy overlap of
-// the same magnitude-of-means prints `~` — the benchstat convention, so
-// the fallback and benchstat paths agree on what is a real change.
-func TestCompareSignificanceGate(t *testing.T) {
-	dir := t.TempDir()
-	old, new := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
-	writeLog(t, old,
-		"BenchmarkReal-8\t 100\t 1000 ns/op",
-		"BenchmarkReal-8\t 100\t 1010 ns/op",
-		"BenchmarkReal-8\t 100\t 990 ns/op",
-		"BenchmarkReal-8\t 100\t 1005 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1000 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1200 ns/op",
-		"BenchmarkNoisy-8\t 100\t 900 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1100 ns/op",
-	)
-	writeLog(t, new,
-		"BenchmarkReal-8\t 100\t 800 ns/op",
-		"BenchmarkReal-8\t 100\t 810 ns/op",
-		"BenchmarkReal-8\t 100\t 790 ns/op",
-		"BenchmarkReal-8\t 100\t 805 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1150 ns/op",
-		"BenchmarkNoisy-8\t 100\t 950 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1050 ns/op",
-		"BenchmarkNoisy-8\t 100\t 1000 ns/op",
-	)
-	var buf bytes.Buffer
-	if err := compareFiles(&buf, old, new); err != nil {
-		t.Fatal(err)
+	writeLog(t, cp, lines("BenchmarkNew", []string{"1000"})...)
+	if err := gate(io.Discard, bp, cp, 10); err == nil {
+		t.Error("disjoint logs passed the gate")
 	}
-	var realLine, noisyLine string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "BenchmarkReal") {
-			realLine = line
-		}
-		if strings.HasPrefix(line, "BenchmarkNoisy") {
-			noisyLine = line
-		}
-	}
-	if !strings.Contains(realLine, "-19.9") || strings.Contains(realLine, "~") {
-		t.Errorf("separated samples not reported as significant: %q", realLine)
-	}
-	if !strings.Contains(realLine, "0.029") {
-		t.Errorf("exact p = 2/70 missing: %q", realLine)
-	}
-	if !strings.Contains(noisyLine, "~") {
-		t.Errorf("overlapping samples not reported as ~: %q", noisyLine)
-	}
-}
-
-func keys(m map[string]*result) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

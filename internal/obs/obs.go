@@ -45,8 +45,6 @@ func New() *Observer { return &Observer{Metrics: NewMetrics()} }
 // merged into the run totals at every epoch fold, which runs
 // single-threaded after the engine's catch-up barrier.
 type Lane struct {
-	WakeOffTicks int64 // summed lengths of the gating periods wakes ended
-
 	// Streaming histograms: a shard goroutine writes only its own lane's
 	// copies, and the fold merges all lanes by bucket addition — exact, so the
 	// folded totals are bucket-identical to a single serial histogram
@@ -348,10 +346,8 @@ func (m *Metrics) LastEpoch() Epoch { return m.last }
 // RouterWoken implements policy.EventObserver. stallTicks is the base
 // ticks the router will spend in the wakeup state before its first
 // post-wake local cycle — the traffic-visible stall the wake costs.
-func (m *Metrics) RouterWoken(routerID int, offTicks, stallTicks int64) {
-	l := &m.lanes[m.laneOf[routerID]]
-	l.WakeOffTicks += offTicks
-	l.WakeStall.Observe(stallTicks)
+func (m *Metrics) RouterWoken(routerID int, stallTicks int64) {
+	m.lanes[m.laneOf[routerID]].WakeStall.Observe(stallTicks)
 	m.wakeStall[routerID] += stallTicks
 }
 
@@ -416,6 +412,7 @@ type EpochFold struct {
 	ShardSweeps    []int64 // active-set sweeps per shard (engine scratch; copied)
 
 	Policy              policy.Stats
+	WakeOffTicks        int64 // policy.Controller.EndedOffTicks
 	LazyTicks           int64
 	ParallelTicks       int64
 	ParallelLandings    int64
@@ -524,13 +521,11 @@ func (m *Metrics) publish(f EpochFold) {
 	var cur Lane
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		cur.WakeOffTicks += l.WakeOffTicks
 		cur.AbsErr.Merge(&l.AbsErr)
 		cur.Latency.Merge(&l.Latency)
 		cur.WakeStall.Merge(&l.WakeStall)
 	}
 	t := &m.totals
-	t.WakeOffTicks = cur.WakeOffTicks
 	t.AbsErrHist = cur.AbsErr.Snapshot()
 	t.LatencyHist = cur.Latency.Snapshot()
 	t.WakeStallHist = cur.WakeStall.Snapshot()
@@ -540,6 +535,7 @@ func (m *Metrics) publish(f EpochFold) {
 	t.Gatings = f.Policy.Gatings
 	t.Wakes = f.Policy.Wakes
 	t.ModeSwitches = f.Policy.ModeSwitches
+	t.WakeOffTicks = f.WakeOffTicks
 	t.EpochDecisions = f.Policy.EpochDecisions
 	t.DecisionsByMode = f.Policy.ModeDecisions
 	t.LazyTicks = f.LazyTicks

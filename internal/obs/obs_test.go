@@ -125,12 +125,13 @@ var twoShards = []uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
 func TestMetricsLaneRouting(t *testing.T) {
 	m := NewMetrics()
 	m.BindRun("test", twoShards, 2, 500, false)
-	m.RouterWoken(11, 40, 6) // shard 1
+	m.RouterWoken(11, 6) // shard 1
 	m.FinishRun(EpochFold{
 		Now:                1000,
 		ActiveRouters:      2,
 		ShardSweeps:        []int64{1, 0},
 		Policy:             policy.Stats{Gatings: 2, Wakes: 1, EpochDecisions: 3, ModeDecisions: [power.NumActiveModes]int64{1, 0, 0, 0, 2}},
+		WakeOffTicks:       40,
 		LazyTicks:          25,
 		ParallelTicks:      1,
 		ParallelLandings:   7,
@@ -143,7 +144,7 @@ func TestMetricsLaneRouting(t *testing.T) {
 	if snap.EpochDecisions != 3 || snap.DecisionsByMode != [power.NumActiveModes]int64{1, 0, 0, 0, 2} {
 		t.Errorf("decision totals wrong: %d %v", snap.EpochDecisions, snap.DecisionsByMode)
 	}
-	if m.lanes[1].WakeOffTicks != 40 || m.lanes[0].WakeOffTicks != 0 {
+	if m.lanes[1].WakeStall.Count != 1 || m.lanes[0].WakeStall.Count != 0 {
 		t.Errorf("wake staged in the wrong lane: %+v", m.lanes)
 	}
 	if snap.WakeStallHist.Count != 1 || snap.WakeStallHist.Sum != 6 {

@@ -200,7 +200,7 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 }
 
 // EventObserver receives the per-event detail the controller's Stats
-// counters do not keep: each wake's off period and stall, and each epoch
+// counters do not keep: each wake's stall, and each epoch
 // decision's measured and predicted IBU. It is the hook the observability
 // layer (internal/obs) implements; the interface lives here so policy
 // does not import obs. Event counts are not observer business: the
@@ -213,12 +213,11 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 // same discipline as SetStatsLanes). EpochDecision only fires from the
 // engine goroutine's epoch-boundary sweep.
 type EventObserver interface {
-	// RouterWoken fires on an Inactive -> Wakeup transition; offTicks is
-	// the length of the gating period that just ended, and stallTicks the
-	// number of base ticks the router will now spend charging up before
-	// it can move flits (the deterministic wakeup-stall duration at the
-	// router's current mode frequency), both in base ticks.
-	RouterWoken(routerID int, offTicks, stallTicks int64)
+	// RouterWoken fires on an Inactive -> Wakeup transition; stallTicks
+	// is the number of base ticks the router will now spend charging up
+	// before it can move flits (the deterministic wakeup-stall duration
+	// at the router's current mode frequency).
+	RouterWoken(routerID int, stallTicks int64)
 	// EpochDecision fires for every selector run: measured is the closing
 	// epoch's IBU, predicted the IBU the selector derived its mode from
 	// (equal to measured for non-predictive selectors).
@@ -390,6 +389,17 @@ func (c *Controller) OffTicks(routerID int) int64 {
 	return t
 }
 
+// EndedOffTicks returns the summed lengths of every gating period a wake
+// has ended, over all routers: the gated time that bought a wake. Call
+// it with no concurrent sweep in flight (offAcc is shard-owned).
+func (c *Controller) EndedOffTicks() int64 {
+	var t int64
+	for _, a := range c.offAcc {
+		t += a
+	}
+	return t
+}
+
 // BillingState returns the mode to bill static power at for this tick and,
 // when waking, the wake target.
 func (c *Controller) BillingState(routerID int) (mode, wakeTarget power.Mode) {
@@ -438,7 +448,7 @@ func (c *Controller) WakeRequest(routerID int) {
 		// The stall the network will now absorb: TWakeup cycles at the
 		// mode's frequency, measured in base ticks from the domain reset
 		// that just happened.
-		c.obs.RouterWoken(routerID, offDur, pm.domain.TicksUntilCycle(costs.TWakeup))
+		c.obs.RouterWoken(routerID, pm.domain.TicksUntilCycle(costs.TWakeup))
 	}
 }
 

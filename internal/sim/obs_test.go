@@ -191,6 +191,9 @@ func TestObsMirrorsEngineDiagnostics(t *testing.T) {
 	if snap.Wakes != res.Policy.Wakes {
 		t.Errorf("obs Wakes %d != policy %d", snap.Wakes, res.Policy.Wakes)
 	}
+	if (snap.WakeOffTicks > 0) != (snap.Wakes > 0) {
+		t.Errorf("obs WakeOffTicks %d with %d wakes", snap.WakeOffTicks, snap.Wakes)
+	}
 	if snap.ModeSwitches != res.Policy.ModeSwitches {
 		t.Errorf("obs ModeSwitches %d != policy %d", snap.ModeSwitches, res.Policy.ModeSwitches)
 	}

@@ -874,6 +874,7 @@ func (e *engine) reading(now int64) obs.EpochFold {
 		ShardLoad:           e.shardLoadBuf,
 		ShardSweeps:         e.shardSweepBuf,
 		Policy:              e.ctrl.Stats(),
+		WakeOffTicks:        e.ctrl.EndedOffTicks(),
 		ParallelTicks:       e.parallelTicks,
 		ParallelLandings:    e.parallelLandings,
 		FastForwardedTicks:  e.ffTicks,

@@ -2,9 +2,11 @@ package stats
 
 // Sample statistics for comparing experiment arms: means with Student-t
 // confidence intervals and the Mann-Whitney U test, in the style of
-// golang.org/x/perf/benchstat (vendored here so cmd/benchtxt's -compare
-// fallback and the sweep orchestrator's arm tables share one
-// significance test instead of the old mean-only delta).
+// golang.org/x/perf/benchstat (vendored here so the sweep orchestrator's
+// arm tables use one significance test instead of a mean-only delta),
+// and Paired, the one statistic every speed gate in this repository
+// reads (cmd/benchtxt for `make bench-gate`, BenchmarkObsOverhead for
+// `make obs-overhead`).
 
 import (
 	"fmt"
@@ -238,4 +240,58 @@ func (d Delta) PctString() string {
 		return "~"
 	}
 	return fmt.Sprintf("%+.2f%%", d.Pct)
+}
+
+// PairedResult summarizes a same-host A/B measurement taken as
+// alternating base/change pairs. Each pair's ratio change/base cancels
+// the drift the host goes through between pairs (other tenants, CPU
+// frequency, GC state), which two separate runs of n samples each
+// cannot. Median is the gate statistic; Q1 and Q3 show its spread.
+type PairedResult struct {
+	Pairs          int
+	Median, Q1, Q3 float64 // per-pair change/base ratios (1.10 = change 10% slower)
+	Wins           int     // pairs in which change ran faster than base
+	P              float64 // two-sided Mann-Whitney p of the two samples, unpaired
+}
+
+// Paired compares the first n = min(len(base), len(change)) samples of
+// two arms pair by pair: pair i is (base[i], change[i]). A pair whose
+// base sample is not positive has no ratio and is dropped.
+func Paired(base, change []float64) PairedResult {
+	n := min(len(base), len(change))
+	ratios := make([]float64, 0, n)
+	r := PairedResult{}
+	for i := 0; i < n; i++ {
+		if base[i] <= 0 {
+			continue
+		}
+		ratios = append(ratios, change[i]/base[i])
+		if change[i] < base[i] {
+			r.Wins++
+		}
+	}
+	r.Pairs = len(ratios)
+	r.P = MannWhitneyUTest(base[:n], change[:n]).P
+	if r.Pairs == 0 {
+		return r
+	}
+	sort.Float64s(ratios)
+	r.Q1, r.Median, r.Q3 = quantile(ratios, 0.25), quantile(ratios, 0.5), quantile(ratios, 0.75)
+	return r
+}
+
+// Regressed reports whether the median ratio is more than pct percent
+// above 1: the change is slower than the base beyond the bound.
+func (r PairedResult) Regressed(pct float64) bool { return r.Median > 1+pct/100 }
+
+// quantile linearly interpolates the q-th quantile (0 <= q <= 1) of a
+// non-empty sorted sample, so the median of an even count is the mean of
+// the middle two.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }

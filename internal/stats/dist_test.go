@@ -138,3 +138,32 @@ func TestCompareSamples(t *testing.T) {
 		t.Errorf("zero-mean old Pct = %v, want 0", zero.Pct)
 	}
 }
+
+func TestPaired(t *testing.T) {
+	base := []float64{100, 200, 100, 200, 100}
+	change := []float64{110, 220, 99, 240, 105, 999} // the unpaired tail is ignored
+	r := Paired(base, change)
+	if r.Pairs != 5 || r.Wins != 1 {
+		t.Fatalf("pairs=%d wins=%d, want 5 and 1", r.Pairs, r.Wins)
+	}
+	// Ratios sorted: 0.99 1.05 1.10 1.10 1.20.
+	if math.Abs(r.Median-1.10) > 1e-12 || math.Abs(r.Q1-1.05) > 1e-12 || math.Abs(r.Q3-1.10) > 1e-12 {
+		t.Errorf("median=%v q1=%v q3=%v, want 1.10 1.05 1.10", r.Median, r.Q1, r.Q3)
+	}
+	if !r.Regressed(5) || r.Regressed(10) {
+		t.Errorf("Regressed(5)=%v Regressed(10)=%v at median 1.10", r.Regressed(5), r.Regressed(10))
+	}
+	// The level shift between pairs cancels in the ratio but swamps the
+	// unpaired test.
+	if r.P < Alpha {
+		t.Errorf("interleaved levels read significant: p=%v", r.P)
+	}
+
+	even := Paired([]float64{1, 1, 1, 1}, []float64{1, 2, 3, 4})
+	if even.Median != 2.5 {
+		t.Errorf("even-count median = %v, want 2.5", even.Median)
+	}
+	if z := Paired([]float64{0}, []float64{1}); z.Pairs != 0 || z.Median != 0 || z.Regressed(0) {
+		t.Errorf("zero base: %+v", z)
+	}
+}

@@ -16,6 +16,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -125,7 +126,9 @@ func canonicalModel(k core.ModelKind) string {
 func formatLambda(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Load reads a Spec from a JSON file, rejecting unknown fields so a
-// typo'd axis name fails loudly instead of silently sweeping nothing.
+// typo'd axis name fails loudly instead of silently sweeping nothing,
+// and anything after the spec's one JSON value but white space, so a
+// second document cannot hide behind the first.
 func Load(path string) (*Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -137,6 +140,9 @@ func Load(path string) (*Spec, error) {
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("sweep: parse %s: trailing data after the spec", path)
 	}
 	return &s, nil
 }

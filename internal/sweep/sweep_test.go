@@ -82,6 +82,26 @@ func TestSweepExpand(t *testing.T) {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}
+
+	// Load reads exactly one JSON value: trailing white space is fine,
+	// a second document or junk after the spec is not.
+	dir := t.TempDir()
+	for _, c := range []struct {
+		text string
+		ok   bool
+	}{
+		{`{"models":["pg"],"benches":["fft"]}` + "\n\t ", true},
+		{`{"models":["pg"],"benches":["fft"]}` + "\n" + `{"models":["mystery"]} trailing junk`, false},
+		{`{"models":["pg"]} x`, false},
+	} {
+		path := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(path, []byte(c.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); (err == nil) != c.ok {
+			t.Errorf("Load(%q) err = %v, want ok=%v", c.text, err, c.ok)
+		}
+	}
 }
 
 func TestSweepReadResultsTornLine(t *testing.T) {
