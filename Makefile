@@ -48,29 +48,31 @@ race-sharded:
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
 # Fuzz smoke: run the cosim frame-decoder fuzz target, the
-# engine-vs-reference differential fuzzer and the sweep-spec fuzzer for
-# 10s each on top of their committed seed corpora
-# (internal/*/testdata/fuzz). Catches decoder panics/hangs on malformed
-# frames, any configuration where the fast engine and
-# sim.Config.Reference disagree, and sweep spec files that panic instead
-# of failing with an error, before they ship; run with a longer
-# -fuzztime locally when touching proto.go, the engine or the spec.
+# engine-vs-reference differential fuzzer, the sweep-spec fuzzer and the
+# results-file reader fuzzer for 10s each on top of their committed seed
+# corpora (internal/*/testdata/fuzz). Catches decoder panics/hangs on
+# malformed frames, any configuration where the fast engine and
+# sim.Config.Reference disagree, sweep spec files that panic instead of
+# failing with an error, and results files whose resume point is not a
+# line boundary, before they ship; run with a longer -fuzztime locally
+# when touching proto.go, the engine, the spec or the results reader.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/cosim
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsReference -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSweepSpec -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime 10s ./internal/sweep
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Same-host A/B regression gate: build the root test binary at $(BASE)
-# (a git worktree under a temp dir) and from the working tree, run the
-# scheduling benchmarks as GATE_PAIRS alternating base/change pairs,
+# (a git worktree under a temp dir) and from the working tree, run each
+# scheduling benchmark as GATE_PAIRS alternating base/change pairs,
 # swapping the order each pair, and fail if any benchmark's median
 # paired ns/op ratio (stats.Paired via cmd/benchtxt) is more than 10%
-# above 1. Interference only rarely hits both runs of one pair the same
-# way, so the ratio's median reads through the host's noise.
-GATE_BENCHES = BenchmarkHotspot|BenchmarkBigMesh|BenchmarkBigMeshWire|BenchmarkMediumLoad|BenchmarkBursty|BenchmarkClosedLoopMcsim
+# above 1. The two runs of a pair are adjacent in time, so host drift
+# between pairs cancels in their ratio.
+GATE_BENCHES = BenchmarkHotspot BenchmarkBigMesh BenchmarkBigMeshWire BenchmarkMediumLoad BenchmarkBursty BenchmarkClosedLoopMcsim
 GATE_PAIRS ?= 5
 bench-gate:
 	@set -e; tmp=$$(mktemp -d); \
@@ -80,9 +82,11 @@ bench-gate:
 	$(GO) test -c -o "$$tmp/change.test" .; \
 	for i in $$(seq $(GATE_PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
-		for arm in $$order; do \
-			if [ $$arm = base ]; then dir="$$tmp/base"; else dir=.; fi; \
-			(cd "$$dir" && "$$tmp/$$arm.test" -test.run '^$$' -test.bench '$(GATE_BENCHES)' -test.benchmem) >> "$$tmp/$$arm.txt"; \
+		for bench in $(GATE_BENCHES); do \
+			for arm in $$order; do \
+				if [ $$arm = base ]; then dir="$$tmp/base"; else dir=.; fi; \
+				(cd "$$dir" && "$$tmp/$$arm.test" -test.run '^$$' -test.bench "^$$bench\$$" -test.benchmem -test.timeout 10m) >> "$$tmp/$$arm.txt"; \
+			done; \
 		done; \
 	done; \
 	$(GO) run ./cmd/benchtxt -max-regress 10 "$$tmp/base.txt" "$$tmp/change.txt"

@@ -200,10 +200,10 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 }
 
 // EventObserver receives the per-event detail the controller's Stats
-// counters do not keep: each wake's stall, and each epoch
-// decision's measured and predicted IBU. It is the hook the observability
-// layer (internal/obs) implements; the interface lives here so policy
-// does not import obs. Event counts are not observer business: the
+// counters do not keep: each wake's stall, and each epoch decision's
+// measured and predicted IBU. It is the hook the observability layer
+// (internal/obs) implements; the interface lives here so policy does
+// not import obs. Event counts are not observer business: the
 // controller's Stats is their only store, and obs reads it at every
 // epoch fold.
 //
