@@ -52,11 +52,24 @@ func TestObsHistFoldMatchesSerial(t *testing.T) {
 		}
 		return observer.Metrics.Snapshot()
 	}
+	// The serial values pin the non-zero mispredict stall charge and the
+	// wake-stall histogram (the metrics golden carries neither); the
+	// models that never gate have neither.
+	type stallPin struct{ underPredStall, wakeCount, wakeSum int64 }
+	pins := map[string]stallPin{
+		"PG":       {0, 13221, 237978},
+		"DozzNoC":  {357, 5891, 121500},
+		"ML+TURBO": {399, 5975, 123264},
+	}
 	for _, mk := range sessionSpecMakers(topo.NumRouters()) {
 		name := mk().Name
 		serial := run(mk, 1)
 		if serial.AbsErrHist.Count == 0 {
 			t.Errorf("%s: serial run observed no prediction errors", name)
+		}
+		if pin, got := pins[name], (stallPin{serial.UnderPredStallTicks, serial.WakeStallHist.Count, serial.WakeStallHist.Sum}); got != pin {
+			t.Errorf("%s: serial UnderPredStallTicks, WakeStallHist Count/Sum = %d, %d/%d; want %d, %d/%d",
+				name, got.underPredStall, got.wakeCount, got.wakeSum, pin.underPredStall, pin.wakeCount, pin.wakeSum)
 		}
 		for _, shards := range []int{2, 4} {
 			sharded := run(mk, shards)
