@@ -97,7 +97,7 @@ bench-gate:
 # alternating pairs in one process, and fails if the median paired
 # obs-on/obs-off ratio (stats.Paired) is more than 2% above 1. The
 # attached layer includes the full prediction-quality recorder —
-# per-lane histograms, mispredict-cost attribution, and the Page-Hinkley
+# histograms, mispredict-cost attribution, and the Page-Hinkley
 # drift detector (DESIGN.md §5j) — so the gate covers the whole
 # pipeline: the layer must stay near-free even when someone leaves it
 # attached. Building with -tags obsslowdown adds 3% to the obs-on arm,

@@ -15,15 +15,13 @@ const HistBuckets = 32
 // ErrScale is the fixed-point quantization applied to float IBU
 // absolute errors before they enter a Hist: the histogram observes
 // round(err * ErrScale), so one unit is ~1e-6 IBU and quantiles divide
-// back out. Integer quantization keeps the merge bit-exact and the fold
-// free of float accumulation order.
+// back out. Integer quantization keeps the histogram free of float
+// accumulation order.
 const ErrScale = 1 << 20
 
-// Hist is a fixed-size, log-bucketed streaming histogram. It is
-// mergeable by plain addition of its fields, which is what lets per-shard
-// copies staged in Lanes be folded at the epoch barrier into totals that
-// are bucket-identical to a single serial histogram regardless of which
-// lane each observation landed in. The zero value is an empty histogram.
+// Hist is a fixed-size, log-bucketed streaming histogram. Every field is
+// a plain sum, so n equal observations record in one step (ObserveN). The
+// zero value is an empty histogram.
 type Hist struct {
 	Count   int64
 	Sum     int64
@@ -31,7 +29,10 @@ type Hist struct {
 }
 
 // Observe records one non-negative value (negative values clamp to 0).
-func (h *Hist) Observe(v int64) {
+func (h *Hist) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v; it equals n calls to Observe(v).
+func (h *Hist) ObserveN(v, n int64) {
 	if v < 0 {
 		v = 0
 	}
@@ -39,19 +40,9 @@ func (h *Hist) Observe(v int64) {
 	if b >= HistBuckets {
 		b = HistBuckets - 1
 	}
-	h.Count++
-	h.Sum += v
-	h.Buckets[b]++
-}
-
-// Merge adds o's observations into h. Because every field is a plain
-// sum, merge order is irrelevant and merging is exact.
-func (h *Hist) Merge(o *Hist) {
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
+	h.Count += n
+	h.Sum += v * n
+	h.Buckets[b] += n
 }
 
 // bucketUpper returns the inclusive upper bound of bucket i (the le=

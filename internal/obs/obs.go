@@ -1,18 +1,17 @@
-// Package obs is the engine's observability layer: per-shard metric
-// lanes folded at epoch boundaries (the sharding-safe counterpart of the
-// policy package's stats lanes), Chrome trace_event phase tracing
-// (tracer.go), and a live expvar/pprof HTTP endpoint (server.go).
+// Package obs is the engine's observability layer: run metrics folded at
+// epoch boundaries, Chrome trace_event phase tracing (tracer.go), and a
+// live expvar/pprof HTTP endpoint (server.go).
 //
 // The design contract is that observability must never perturb results
-// and must cost almost nothing when disabled: every hook the engine and
-// controller call is a branch on a nil pointer, shard-goroutine hooks
-// write only to the calling shard's padded lane, and everything else —
-// event and scheduling counts, residency and energy deltas, prediction
-// accuracy, expvar gauges — is derived at epoch folds on the engine
-// goroutine, after the engine's catch-up barrier, from state that is
-// already exact (DESIGN.md §5e). Counts live only where they happen (the
-// controller's policy.Stats, the engine's scheduling counters); a fold
-// reads their cumulative values and subtracts the previous fold's.
+// and must cost almost nothing when disabled: every hook the engine
+// calls is a branch on a nil pointer, and every hook runs on the engine
+// goroutine — none from a shard worker. Event and scheduling counts,
+// the wake-stall histogram, residency and energy deltas and expvar
+// gauges are derived at epoch folds, after the engine's catch-up
+// barrier, from state that is already exact (DESIGN.md §5e). Counts live
+// only where they happen (the controller's policy.Stats, the engine's
+// scheduling counters, the power meters); a fold reads their cumulative
+// values and subtracts the previous fold's.
 package obs
 
 import (
@@ -37,27 +36,6 @@ type Observer struct {
 // New returns an Observer with a fresh Metrics and no Tracer — the common
 // "counters only" configuration.
 func New() *Observer { return &Observer{Metrics: NewMetrics()} }
-
-// Lane is one shard's staging area for the per-event detail obs records
-// itself. During a concurrent sweep only the owning shard's goroutine
-// writes it (the same ownership discipline as policy.SetStatsLanes); the
-// trailing pad keeps neighboring lanes off one cache line. Lanes are
-// merged into the run totals at every epoch fold, which runs
-// single-threaded after the engine's catch-up barrier.
-type Lane struct {
-	// Streaming histograms: a shard goroutine writes only its own lane's
-	// copies, and the fold merges all lanes by bucket addition — exact, so the
-	// folded totals are bucket-identical to a single serial histogram
-	// (hist.go). WakeStall is fed from shard goroutines (RouterWoken);
-	// AbsErr and Latency are fed on the engine goroutine with every
-	// worker parked (the boundary sweep and the post-sweep commit), which
-	// keeps the owner-only rule intact.
-	AbsErr    Hist // per-decision |measured - predicted| IBU, ErrScale fixed-point
-	Latency   Hist // delivered packet latency, base ticks
-	WakeStall Hist // per-wake stall duration (wakeup-state ticks), base ticks
-
-	_ [64]byte
-}
 
 // Epoch is one epoch's folded rollup: the event and scheduling deltas
 // that accrued since the previous fold, plus the residency and energy
@@ -215,15 +193,15 @@ func (s Snapshot) Deterministic() Snapshot {
 // run by the engine (BindRun) and folded at epoch boundaries: each fold
 // takes the cumulative counts the controller and the engine keep
 // (EpochFold) and derives the run totals and the epoch's deltas from
-// them, so no count is kept twice. What no other layer records — wake
-// off periods, the histograms, prediction accuracy — it collects itself
-// through policy.EventObserver, written by the engine goroutine and,
-// through the per-shard lanes, by shard goroutines. It is not safe to
-// share across concurrently executing runs; rebinding resets per-run
-// state, so one Metrics may observe a sequence of runs.
+// them, so no count is kept twice. What no other layer records — the
+// latency and prediction-error histograms, prediction accuracy and its
+// mispredict cost — it collects itself from the engine's EpochDecision
+// and PacketLatency calls. Every method runs on the engine goroutine. A
+// Metrics is not safe to share across concurrently executing runs;
+// rebinding resets per-run state, so one Metrics may observe a sequence
+// of runs.
 type Metrics struct {
-	lanes  []Lane
-	laneOf []uint8 // owning lane of each router (the engine's shard map, read-only)
+	meters []power.Meter // the engine's meters (read-only)
 	nR     int
 
 	run      int64
@@ -239,8 +217,11 @@ type Metrics struct {
 	prevStat float64
 	prevDyn  float64
 
-	// Prediction bookkeeping (engine goroutine; EpochDecision fires only
-	// from the boundary sweep).
+	absErr  Hist // per-decision |measured - predicted| IBU, ErrScale fixed-point
+	latency Hist // delivered packet latency, base ticks
+
+	// Prediction bookkeeping (EpochDecision fires only from the boundary
+	// sweep).
 	lastPred   []float64 // previous boundary's prediction per router, NaN if none
 	predSum    float64   // predictions made since the last fold
 	predN      int64
@@ -249,17 +230,13 @@ type Metrics struct {
 	errSumRun  float64 // run totals for the snapshot's mean
 	errNRun    int64
 
-	// Mispredict-cost attribution (EpochDecision, engine goroutine).
-	// lastMode is the mode each router's previous boundary chose — the
-	// decision that matures against this boundary's measured IBU.
-	// wakeStall accumulates each router's wakeup-stall ticks; it is
-	// written by the owning shard's goroutine in RouterWoken (same
-	// ownership as the lanes) and read only at the post-barrier boundary
-	// sweep; stallSeen is the engine-side cursor that turns it into
-	// per-decision deltas.
+	// Mispredict-cost attribution (EpochDecision). lastMode is the mode
+	// each router's previous boundary chose — the decision that matures
+	// against this boundary's measured IBU. stallSeen is each router's
+	// metered wakeup residency at its previous decision, the cursor that
+	// turns the meter into per-decision stall deltas.
 	epochTicks int64
 	lastMode   []power.Mode
-	wakeStall  []int64
 	stallSeen  []int64
 
 	// Drift detection over the per-epoch folded mean abs error
@@ -272,21 +249,18 @@ type Metrics struct {
 // start.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// BindRun attaches the Metrics to a run: one lane per engine shard
-// (router r's events stage into lane laneOf[r]; the engine passes its
-// router→shard map, which Metrics keeps and only reads), len(laneOf)
-// routers, and optionally a per-epoch stats.Series (the engine sources
-// Result.Series from it). All per-run state is reset; the bind count
-// survives so a long-lived Observer can tell runs apart on the live
-// endpoint.
-func (m *Metrics) BindRun(label string, laneOf []uint8, lanes int, epochTicks int64, collectSeries bool) {
-	numRouters := len(laneOf)
+// BindRun attaches the Metrics to a run: the engine's per-router meters
+// (one per router; Metrics keeps the slice and only reads it), and
+// optionally a per-epoch stats.Series (the engine sources Result.Series
+// from it). All per-run state is reset; the bind count survives so a
+// long-lived Observer can tell runs apart on the live endpoint.
+func (m *Metrics) BindRun(label string, meters []power.Meter, epochTicks int64, collectSeries bool) {
+	numRouters := len(meters)
 	m.run++
 	m.label = label
 	m.started = time.Now()
+	m.meters = meters
 	m.nR = numRouters
-	m.lanes = make([]Lane, lanes)
-	m.laneOf = laneOf
 	m.seriesOn = collectSeries
 	m.series = nil
 	if collectSeries {
@@ -297,12 +271,12 @@ func (m *Metrics) BindRun(label string, laneOf []uint8, lanes int, epochTicks in
 	m.lastFold = 0
 	m.totals = Snapshot{
 		Run: m.run, Label: label,
-		ShardSweeps:     make([]int64, lanes),
 		RouterUnderPred: make([]int64, numRouters),
 		RouterOverPred:  make([]int64, numRouters),
 	}
 	m.prevRes = [2 + power.NumActiveModes]int64{}
 	m.prevStat, m.prevDyn = 0, 0
+	m.absErr, m.latency = Hist{}, Hist{}
 	m.lastPred = make([]float64, numRouters)
 	for i := range m.lastPred {
 		m.lastPred[i] = math.NaN()
@@ -312,7 +286,6 @@ func (m *Metrics) BindRun(label string, laneOf []uint8, lanes int, epochTicks in
 	m.errSumRun, m.errNRun = 0, 0
 	m.epochTicks = epochTicks
 	m.lastMode = make([]power.Mode, numRouters)
-	m.wakeStall = make([]int64, numRouters)
 	m.stallSeen = make([]int64, numRouters)
 	m.drift.reset(m.driftCfg)
 	setDriftGauge(0)
@@ -341,29 +314,21 @@ func (m *Metrics) Series() *stats.Series { return m.series }
 // the folds.
 func (m *Metrics) LastEpoch() Epoch { return m.last }
 
-// --- policy.EventObserver ---
-
-// RouterWoken implements policy.EventObserver. stallTicks is the base
-// ticks the router will spend in the wakeup state before its first
-// post-wake local cycle — the traffic-visible stall the wake costs.
-func (m *Metrics) RouterWoken(routerID int, stallTicks int64) {
-	m.lanes[m.laneOf[routerID]].WakeStall.Observe(stallTicks)
-	m.wakeStall[routerID] += stallTicks
-}
-
-// EpochDecision implements policy.EventObserver: it accrues the
+// EpochDecision records one selector run at an epoch boundary: measured
+// is the closing epoch's IBU, predicted the IBU the selector derived its
+// mode from (equal to measured for non-predictive selectors). It accrues the
 // predicted-IBU mean for this boundary, matures the previous boundary's
 // prediction against the measured IBU, and attributes the matured
 // decision's mispredict cost. The comparison is mode-space: the mode the
 // previous boundary actually chose against the mode the measured IBU
 // would have called for (policy.ModeForIBU). A chosen mode below the
-// ideal is an under-prediction, charged the router's wakeup stalls since
-// its last decision; above is an over-prediction, charged one epoch of
-// the static-power excess over the ideal mode. It fires only from the
-// engine goroutine's boundary sweep, with every shard worker parked, so
-// reading the shard-written wakeStall cursor and writing the lane's
-// AbsErr histogram are both race-free.
+// ideal is an under-prediction, charged the router's metered wakeup
+// residency since its last decision; above is an over-prediction,
+// charged one epoch of the static-power excess over the ideal mode. The
+// engine calls it from the boundary sweep, after the catch-up barrier,
+// so the meters are exact.
 func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode power.Mode) {
+	stall := m.meters[routerID].ResidencyTicks(power.Wakeup)
 	m.predSum += predicted
 	m.predN++
 	if lp := m.lastPred[routerID]; !math.IsNaN(lp) {
@@ -372,13 +337,13 @@ func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode 
 		m.predErrN++
 		m.errSumRun += e
 		m.errNRun++
-		m.lanes[m.laneOf[routerID]].AbsErr.Observe(int64(e*ErrScale + 0.5))
+		m.absErr.Observe(int64(e*ErrScale + 0.5))
 		ideal := policy.ModeForIBU(measured)
 		switch chosen := m.lastMode[routerID]; {
 		case chosen < ideal:
 			m.totals.UnderPredDecisions++
 			m.totals.RouterUnderPred[routerID]++
-			m.totals.UnderPredStallTicks += m.wakeStall[routerID] - m.stallSeen[routerID]
+			m.totals.UnderPredStallTicks += stall - m.stallSeen[routerID]
 		case chosen > ideal:
 			m.totals.OverPredDecisions++
 			m.totals.RouterOverPred[routerID]++
@@ -386,16 +351,14 @@ func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode 
 				(power.StaticWatts(chosen) - power.StaticWatts(ideal)) * timing.TickSeconds
 		}
 	}
-	m.stallSeen[routerID] = m.wakeStall[routerID]
+	m.stallSeen[routerID] = stall
 	m.lastPred[routerID] = predicted
 	m.lastMode[routerID] = mode
 }
 
 // PacketLatency records one delivered packet's latency in base ticks.
-// The engine calls it from the network's serial commit phase (engine
-// goroutine, every shard worker parked), so staging into lane 0 honors
-// the owner-only lane discipline.
-func (m *Metrics) PacketLatency(ticks int64) { m.lanes[0].Latency.Observe(ticks) }
+// The engine calls it from the network's serial commit phase.
+func (m *Metrics) PacketLatency(ticks int64) { m.latency.Observe(ticks) }
 
 // EpochFold carries the engine's readings into FoldEpoch and FinishRun.
 // Every count in it is cumulative over the run and kept by its owner —
@@ -422,15 +385,14 @@ type EpochFold struct {
 
 // FoldEpoch closes one epoch: it derives the epoch's event and
 // scheduling deltas from f against the previous fold's totals, derives
-// the residency/energy deltas from the meters, builds the
+// the residency/energy deltas from the bound meters, builds the
 // stats.EpochSample the series and figure pipeline consume, feeds the
-// drift detector, and publishes the totals and the live snapshot, merging
-// the shard lanes (single-threaded — the engine calls it after Commit
-// and the catch-up barrier, while every shard worker is parked). The sample computation is field-for-field
-// the engine's pre-obs code, so series CSVs are byte-identical. It
-// reports whether the drift detector fired at this fold, so the engine
-// can emit a tracer instant event for it.
-func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power.Meter) (driftFired bool) {
+// drift detector, and publishes the totals and the live snapshot. The
+// engine calls it after Commit and the catch-up barrier. The sample
+// computation is field-for-field the engine's pre-obs code, so series
+// CSVs are byte-identical. It reports whether the drift detector fired
+// at this fold, so the engine can emit a tracer instant event for it.
+func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller) (driftFired bool) {
 	ep := Epoch{Tick: f.Now}
 	if m.nR > 0 {
 		ep.AvgIBU = f.SumIBU / float64(m.nR)
@@ -450,9 +412,9 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 		}
 	}
 	sample.FlitsDelivered = f.FlitsDelivered
-	for i := range meters {
-		sample.StaticJ += meters[i].StaticJoules()
-		sample.DynamicJ += meters[i].DynamicJoules()
+	for i := range m.meters {
+		sample.StaticJ += m.meters[i].StaticJoules()
+		sample.DynamicJ += m.meters[i].DynamicJoules()
 	}
 	if m.series != nil {
 		m.series.Add(sample)
@@ -460,8 +422,8 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 
 	// Residency movement, network-wide, from the integer meter counters.
 	var res [2 + power.NumActiveModes]int64
-	for i := range meters {
-		r := meters[i].Residency()
+	for i := range m.meters {
+		r := m.meters[i].Residency()
 		for s := range res {
 			res[s] += r[s]
 		}
@@ -514,21 +476,18 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 }
 
 // publish replaces the totals with f's cumulative readings and the
-// merged shard lanes, and refreshes the live expvar snapshot. Lanes are
-// never zeroed mid-run — a shard goroutine could in principle still own
-// one between ticks — so the merge replaces rather than adds.
+// histograms, and refreshes the live expvar snapshot. The wake-stall
+// histogram is derived from the per-mode wake counts: every wake into
+// mode m stalls policy.WakeStallTicks(m).
 func (m *Metrics) publish(f EpochFold) {
-	var cur Lane
-	for i := range m.lanes {
-		l := &m.lanes[i]
-		cur.AbsErr.Merge(&l.AbsErr)
-		cur.Latency.Merge(&l.Latency)
-		cur.WakeStall.Merge(&l.WakeStall)
+	var wakeStall Hist
+	for i, n := range f.Policy.WakesByMode {
+		wakeStall.ObserveN(policy.WakeStallTicks(power.ActiveMode(i)), n)
 	}
 	t := &m.totals
-	t.AbsErrHist = cur.AbsErr.Snapshot()
-	t.LatencyHist = cur.Latency.Snapshot()
-	t.WakeStallHist = cur.WakeStall.Snapshot()
+	t.AbsErrHist = m.absErr.Snapshot()
+	t.LatencyHist = m.latency.Snapshot()
+	t.WakeStallHist = wakeStall.Snapshot()
 
 	t.Tick = f.Now
 	t.Epochs = m.epochs

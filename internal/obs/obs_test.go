@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -116,21 +117,21 @@ func TestTracerStickyError(t *testing.T) {
 	}
 }
 
-// twoShards is a 16-router lane map: routers 0-7 on shard 0, 8-15 on 1.
-var twoShards = []uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
-
-// TestMetricsLaneRouting: a wake lands in its router's lane and folds
-// into the totals once, and the counts the fold reading carries become
-// the totals as given.
-func TestMetricsLaneRouting(t *testing.T) {
+// TestMetricsFoldTakesReadings: the counts the fold reading carries
+// become the totals as given, and the wake-stall histogram is derived
+// from the per-mode wake counts.
+func TestMetricsFoldTakesReadings(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("test", twoShards, 2, 500, false)
-	m.RouterWoken(11, 6) // shard 1
+	m.BindRun("test", make([]power.Meter, 16), 500, false)
 	m.FinishRun(EpochFold{
-		Now:                1000,
-		ActiveRouters:      2,
-		ShardSweeps:        []int64{1, 0},
-		Policy:             policy.Stats{Gatings: 2, Wakes: 1, EpochDecisions: 3, ModeDecisions: [power.NumActiveModes]int64{1, 0, 0, 0, 2}},
+		Now:           1000,
+		ActiveRouters: 2,
+		ShardSweeps:   []int64{1, 0},
+		Policy: policy.Stats{
+			Gatings: 2, Wakes: 3, EpochDecisions: 3,
+			WakesByMode:   [power.NumActiveModes]int64{1, 0, 0, 0, 2},
+			ModeDecisions: [power.NumActiveModes]int64{1, 0, 0, 0, 2},
+		},
 		WakeOffTicks:       40,
 		LazyTicks:          25,
 		ParallelTicks:      1,
@@ -138,17 +139,18 @@ func TestMetricsLaneRouting(t *testing.T) {
 		FastForwardedTicks: 100,
 	})
 	snap := m.Snapshot()
-	if snap.Gatings != 2 || snap.Wakes != 1 || snap.WakeOffTicks != 40 || snap.LazyTicks != 25 {
+	if snap.Gatings != 2 || snap.Wakes != 3 || snap.WakeOffTicks != 40 || snap.LazyTicks != 25 {
 		t.Errorf("event totals wrong: %+v", snap)
 	}
 	if snap.EpochDecisions != 3 || snap.DecisionsByMode != [power.NumActiveModes]int64{1, 0, 0, 0, 2} {
 		t.Errorf("decision totals wrong: %d %v", snap.EpochDecisions, snap.DecisionsByMode)
 	}
-	if m.lanes[1].WakeStall.Count != 1 || m.lanes[0].WakeStall.Count != 0 {
-		t.Errorf("wake staged in the wrong lane: %+v", m.lanes)
-	}
-	if snap.WakeStallHist.Count != 1 || snap.WakeStallHist.Sum != 6 {
-		t.Errorf("wake-stall histogram wrong: %+v", snap.WakeStallHist)
+	var want Hist
+	want.Observe(policy.WakeStallTicks(power.M3))
+	want.Observe(policy.WakeStallTicks(power.M7))
+	want.Observe(policy.WakeStallTicks(power.M7))
+	if !reflect.DeepEqual(snap.WakeStallHist, want.Snapshot()) {
+		t.Errorf("wake-stall histogram %+v, want %+v", snap.WakeStallHist, want.Snapshot())
 	}
 	if snap.FastForwardedTicks != 100 || snap.ParallelTicks != 1 || snap.ParallelLandings != 7 {
 		t.Errorf("scheduling counts wrong: %+v", snap)
@@ -160,7 +162,7 @@ func TestMetricsLaneRouting(t *testing.T) {
 		t.Errorf("run bookkeeping wrong: %+v", snap)
 	}
 	// Rebinding resets per-run state but keeps counting runs.
-	m.BindRun("again", make([]uint8, 4), 1, 500, false)
+	m.BindRun("again", make([]power.Meter, 4), 500, false)
 	if snap := m.Snapshot(); snap.Gatings != 0 || snap.Run != 2 {
 		t.Errorf("rebind did not reset: %+v", snap)
 	}
@@ -171,9 +173,8 @@ func TestMetricsLaneRouting(t *testing.T) {
 // fold's.
 func TestFoldDeltasAreReadingDifferences(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("deltas", twoShards, 2, 500, false)
-	ctrl := policy.NewController(len(twoShards), policy.Baseline())
-	meters := make([]power.Meter, len(twoShards))
+	m.BindRun("deltas", make([]power.Meter, 16), 500, false)
+	ctrl := policy.NewController(16, policy.Baseline())
 	first := EpochFold{
 		Now: 500, ShardSweeps: []int64{3, 4}, ShardLoad: []int64{30, 40},
 		Policy:    policy.Stats{Gatings: 5, Wakes: 2, ModeSwitches: 1},
@@ -184,11 +185,11 @@ func TestFoldDeltasAreReadingDifferences(t *testing.T) {
 		Policy:    policy.Stats{Gatings: 12, Wakes: 9, ModeSwitches: 4},
 		LazyTicks: 30, ParallelTicks: 10, ParallelLandings: 9, FastForwardedTicks: 180, HorizonSkippedTicks: 50,
 	}
-	m.FoldEpoch(first, ctrl, meters)
+	m.FoldEpoch(first, ctrl)
 	if ep := m.LastEpoch(); ep.Gatings != 5 || ep.LazyTicks != 11 || ep.FastForwardedTicks != 100 {
 		t.Errorf("first fold deltas are not the first reading: %+v", ep)
 	}
-	m.FoldEpoch(second, ctrl, meters)
+	m.FoldEpoch(second, ctrl)
 	want := Epoch{
 		Tick:                1000,
 		Gatings:             7,
@@ -214,7 +215,7 @@ func TestFoldDeltasAreReadingDifferences(t *testing.T) {
 // and the pprof index answers.
 func TestServerServesExpvarAndPprof(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("endpoint-test", make([]uint8, 4), 1, 500, false)
+	m.BindRun("endpoint-test", make([]power.Meter, 4), 500, false)
 	m.FinishRun(EpochFold{Now: 123, ActiveRouters: 1, ShardSweeps: []int64{1}, FastForwardedTicks: 42})
 
 	srv, err := StartServer("127.0.0.1:0")

@@ -199,34 +199,9 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 	return Spec{Name: "ML+TURBO", PowerGating: true, Selector: NewTurboSelector(sel, numRouters)}.withDefaults()
 }
 
-// EventObserver receives the per-event detail the controller's Stats
-// counters do not keep: each wake's stall, and each epoch decision's
-// measured and predicted IBU. It is the hook the observability layer
-// (internal/obs) implements; the interface lives here so policy does
-// not import obs. Event counts are not observer business: the
-// controller's Stats is their only store, and obs reads it at every
-// epoch fold.
-//
-// RouterWoken may fire from an engine shard's goroutine during a
-// concurrent sweep — always for a router the calling shard owns — so
-// implementations must stage what it records into per-shard lanes (the
-// same discipline as SetStatsLanes). EpochDecision only fires from the
-// engine goroutine's epoch-boundary sweep.
-type EventObserver interface {
-	// RouterWoken fires on an Inactive -> Wakeup transition; stallTicks
-	// is the number of base ticks the router will now spend charging up
-	// before it can move flits (the deterministic wakeup-stall duration
-	// at the router's current mode frequency).
-	RouterWoken(routerID int, stallTicks int64)
-	// EpochDecision fires for every selector run: measured is the closing
-	// epoch's IBU, predicted the IBU the selector derived its mode from
-	// (equal to measured for non-predictive selectors).
-	EpochDecision(routerID int, measured, predicted float64, mode power.Mode)
-}
-
 // IBUPredictor is optionally implemented by selectors that derive their
-// mode from a predicted IBU (the ML path); it lets an EventObserver
-// record predicted-vs-actual accuracy without re-deriving the model.
+// mode from a predicted IBU (the ML path); it lets the engine record
+// predicted-vs-actual accuracy without re-deriving the model.
 type IBUPredictor interface {
 	PredictIBU(routerID int, ibu float64, feats []float64) float64
 }
@@ -273,8 +248,13 @@ type routerPM struct {
 
 // Stats aggregates controller activity for one run.
 type Stats struct {
-	Gatings        int64                       // Active -> Inactive transitions
-	Wakes          int64                       // Inactive -> Wakeup transitions
+	Gatings int64 // Active -> Inactive transitions
+	Wakes   int64 // Inactive -> Wakeup transitions
+	// WakesByMode splits Wakes by wake target mode (index M3..M7); every
+	// wake into mode m stalls WakeStallTicks(m), so it is the whole
+	// wake-stall distribution. It stays out of JSON: the repository
+	// benchmark's pinned digests hash result rows that carry Stats.
+	WakesByMode    [power.NumActiveModes]int64 `json:"-"`
 	BreakevenMet   int64                       // wakes whose off time met T-Breakeven
 	ModeSwitches   int64                       // active-mode changes
 	ModeDecisions  [power.NumActiveModes]int64 // selector outcomes (Fig 7)
@@ -294,17 +274,9 @@ type Controller struct {
 	pm     []routerPM
 	nv     NetView
 	now    timing.Tick
-	stats  []Stats // one entry per stats lane, indexed by laneOf
-	laneOf []uint8 // stats lane of each router
+	stats  []Stats // one entry per stats lane, indexed by lane
+	lane   []uint8 // stats lane of each router
 	offAcc []int64 // cumulative off ticks per router (Table IV feature 4)
-
-	// obs, when non-nil, receives rare power-management events; pred is
-	// the selector's IBUPredictor view, resolved once at SetObserver so
-	// the epoch sweep avoids a per-router type assertion. Every hook site
-	// is a branch on nil in an already-rare path, so the disabled-mode
-	// overhead is one predictable branch per event, never per tick.
-	obs  EventObserver
-	pred IBUPredictor
 }
 
 // NewController builds a controller for numRouters routers.
@@ -314,7 +286,7 @@ func NewController(numRouters int, spec Spec) *Controller {
 		spec:   spec,
 		pm:     make([]routerPM, numRouters),
 		stats:  make([]Stats, 1),
-		laneOf: make([]uint8, numRouters),
+		lane:   make([]uint8, numRouters),
 		offAcc: make([]int64, numRouters),
 	}
 	for i := range c.pm {
@@ -329,28 +301,19 @@ func NewController(numRouters int, spec Spec) *Controller {
 
 // SetStatsLanes splits the activity counters into lanes stats lanes so
 // concurrent sweeps never write the same counter word: router r accrues
-// into lane laneOf[r]. The engine passes its router→shard map, which the
+// into lane shardOf[r]. The engine passes its router→shard map, which the
 // controller keeps and only reads. Counter placement does not affect the
 // summed Stats, so lane layout is invisible to results.
-func (c *Controller) SetStatsLanes(laneOf []uint8, lanes int) {
-	if len(laneOf) != len(c.pm) {
+func (c *Controller) SetStatsLanes(shardOf []uint8, lanes int) {
+	if len(shardOf) != len(c.pm) {
 		panic("policy: stats lane map does not cover every router")
 	}
 	c.stats = make([]Stats, lanes)
-	c.laneOf = laneOf
+	c.lane = shardOf
 }
 
 // SetNetView attaches the network view; required before Advance.
 func (c *Controller) SetNetView(nv NetView) { c.nv = nv }
-
-// SetObserver attaches (or, with nil, detaches) an event observer.
-func (c *Controller) SetObserver(o EventObserver) {
-	c.obs = o
-	c.pred = nil
-	if o != nil {
-		c.pred, _ = c.spec.Selector.(IBUPredictor)
-	}
-}
 
 // Spec returns the model specification.
 func (c *Controller) Spec() Spec { return c.spec }
@@ -362,6 +325,9 @@ func (c *Controller) Stats() Stats {
 		l := &c.stats[i]
 		s.Gatings += l.Gatings
 		s.Wakes += l.Wakes
+		for m := range l.WakesByMode {
+			s.WakesByMode[m] += l.WakesByMode[m]
+		}
 		s.BreakevenMet += l.BreakevenMet
 		s.ModeSwitches += l.ModeSwitches
 		s.EpochDecisions += l.EpochDecisions
@@ -439,17 +405,22 @@ func (c *Controller) WakeRequest(routerID int) {
 	pm.wakeLeft = costs.TWakeup
 	pm.domain.SetFreq(power.FreqMHz(pm.mode))
 	pm.domain.Reset()
-	st := &c.stats[c.laneOf[routerID]]
+	st := &c.stats[c.lane[routerID]]
 	st.Wakes++
+	st.WakesByMode[pm.mode.Index()]++
 	if timing.CyclesIn(timing.Tick(offDur), power.FreqMHz(pm.mode)) >= int64(costs.TBreakeven) {
 		st.BreakevenMet++
 	}
-	if c.obs != nil {
-		// The stall the network will now absorb: TWakeup cycles at the
-		// mode's frequency, measured in base ticks from the domain reset
-		// that just happened.
-		c.obs.RouterWoken(routerID, pm.domain.TicksUntilCycle(costs.TWakeup))
-	}
+}
+
+// WakeStallTicks returns the base ticks a router woken into mode m spends
+// in the wakeup state before it can move flits: TWakeup cycles at m's
+// frequency, counted from the domain reset every wake performs, so it is
+// the same for every wake into m.
+func WakeStallTicks(m power.Mode) int64 {
+	var d timing.Domain
+	d.SetFreq(power.FreqMHz(m))
+	return d.TicksUntilCycle(vr.CostsFor(m).TWakeup)
 }
 
 // Advance moves the router's state machine one base tick forward and
@@ -645,31 +616,25 @@ func (c *Controller) PostCycle(routerID int) {
 		pm.state = Inactive
 		pm.offSince = c.now
 		pm.idleCycles = 0
-		c.stats[c.laneOf[routerID]].Gatings++
+		c.stats[c.lane[routerID]].Gatings++
 	}
 }
 
-// EpochBoundary runs the mode selector for a router at an epoch boundary.
-// Per §III-B the selector only runs for routers in the active state; the
+// EpochBoundary runs the mode selector for a router at an epoch boundary
+// and reports whether it ran; Mode then returns the chosen mode. Per
+// §III-B the selector only runs for routers in the active state; the
 // chosen mode also becomes the wake target for subsequent gating periods.
-func (c *Controller) EpochBoundary(routerID int, ibu float64, feats []float64) {
+func (c *Controller) EpochBoundary(routerID int, ibu float64, feats []float64) (decided bool) {
 	pm := &c.pm[routerID]
 	if pm.state != Active {
-		return
+		return false
 	}
 	m := c.spec.Selector.SelectMode(routerID, ibu, feats)
-	st := &c.stats[c.laneOf[routerID]]
+	st := &c.stats[c.lane[routerID]]
 	st.EpochDecisions++
 	st.ModeDecisions[m.Index()]++
-	if c.obs != nil {
-		pred := ibu
-		if c.pred != nil {
-			pred = c.pred.PredictIBU(routerID, ibu, feats)
-		}
-		c.obs.EpochDecision(routerID, ibu, pred, m)
-	}
 	if m == pm.mode {
-		return
+		return true
 	}
 	// Begin a voltage/frequency switch: pause for T-Switch cycles of the
 	// new clock, billing static power at the higher of the two modes.
@@ -682,6 +647,7 @@ func (c *Controller) EpochBoundary(routerID int, ibu float64, feats []float64) {
 		pm.switchBill = m
 	}
 	pm.domain.SetFreq(power.FreqMHz(m))
+	return true
 }
 
 // GlobalSelector models a globally coordinated DVFS alternative: every

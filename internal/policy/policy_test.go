@@ -258,6 +258,58 @@ func TestWakeupTakesTWakeupCycles(t *testing.T) {
 	}
 }
 
+// TestWakeStallTicksMatchesStateMachine checks WakeStallTicks against
+// the controller: for a router gated in each mode, the Advance calls from
+// WakeRequest until it is Active again must number WakeStallTicks(m), and
+// the wake must count under its target mode.
+func TestWakeStallTicksMatchesStateMachine(t *testing.T) {
+	for _, m := range []power.Mode{power.M3, power.M4, power.M5, power.M6, power.M7} {
+		spec := Spec{Name: "gated-" + m.String(), PowerGating: true, Selector: FixedSelector{Mode: m}, InitialMode: m}
+		c := NewController(1, spec)
+		nv := newFakeNet()
+		nv.empty[0] = true
+		c.SetNetView(nv)
+		tick := 0
+		for ; c.State(0) == Active; tick++ {
+			if tick > 1000 {
+				t.Fatalf("%v: idle router never gated", m)
+			}
+			c.SetNow(timing.Tick(tick))
+			if c.Advance(0) {
+				c.PostCycle(0)
+			}
+		}
+		// Leave the domain mid-period so the wake's reset is what counts.
+		for end := tick + 7; tick < end; tick++ {
+			c.SetNow(timing.Tick(tick))
+			c.Advance(0)
+		}
+		c.SetNow(timing.Tick(tick))
+		c.WakeRequest(0)
+		var stall int64
+		for c.State(0) == Wakeup {
+			if stall > 1000 {
+				t.Fatalf("%v: wakeup never completed", m)
+			}
+			tick++
+			c.SetNow(timing.Tick(tick))
+			c.Advance(0)
+			stall++
+		}
+		if c.State(0) != Active {
+			t.Fatalf("%v: wake ended in state %v", m, c.State(0))
+		}
+		if want := WakeStallTicks(m); stall != want {
+			t.Errorf("%v: wake stalled %d ticks, WakeStallTicks = %d", m, stall, want)
+		}
+		var want [power.NumActiveModes]int64
+		want[m.Index()] = 1
+		if got := c.Stats().WakesByMode; got != want {
+			t.Errorf("%v: WakesByMode = %v, want %v", m, got, want)
+		}
+	}
+}
+
 func TestWakeRequestNoOpWhenAwake(t *testing.T) {
 	c := NewController(1, PowerGated())
 	c.SetNetView(newFakeNet())
@@ -338,12 +390,16 @@ func TestEpochBoundaryModeSwitch(t *testing.T) {
 	c.SetNetView(newFakeNet())
 	c.SetNow(0)
 	// High IBU -> M7 (already there, no switch).
-	c.EpochBoundary(0, 0.5, nil)
+	if !c.EpochBoundary(0, 0.5, nil) {
+		t.Fatal("active router's boundary reported no decision")
+	}
 	if c.Stats().ModeSwitches != 0 {
 		t.Fatal("no-op selection must not count as a switch")
 	}
 	// Low IBU -> M3: a switch begins; the router pauses T-Switch cycles.
-	c.EpochBoundary(0, 0.0, nil)
+	if !c.EpochBoundary(0, 0.0, nil) {
+		t.Fatal("switching boundary reported no decision")
+	}
 	if c.Mode(0) != power.M3 {
 		t.Fatalf("mode = %v, want M3", c.Mode(0))
 	}
@@ -383,8 +439,7 @@ func TestEpochBoundarySkipsGatedRouters(t *testing.T) {
 			c.PostCycle(0)
 		}
 	}
-	c.EpochBoundary(0, 0.5, nil)
-	if c.Stats().EpochDecisions != 0 {
+	if c.EpochBoundary(0, 0.5, nil) || c.Stats().EpochDecisions != 0 {
 		t.Fatal("gated router must not run the selector (§III-B)")
 	}
 }

@@ -1,5 +1,5 @@
-// Observability-layer integration tests: per-shard metric lanes must
-// fold to the serial run's totals, the counts the obs fold reads from the
+// Observability-layer integration tests: a sharded run's folded metrics
+// must equal the serial run's totals, the counts the obs fold reads from the
 // engine and the controller must reach the snapshot intact (it agrees
 // with Result's diagnostics and policy.Stats), the engine-phase tracer
 // must emit valid Chrome trace_event JSONL covering the
@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -67,10 +68,9 @@ func observedSession(t *testing.T, topo topology.Topology, tr *traffic.Trace, sh
 	return sess, m
 }
 
-// TestObsLaneFoldMatchesSerial is the acceptance check for the staging
-// lanes: a Shards=4 run's folded totals — events routed through
-// shard-goroutine lanes during concurrent sweeps — must equal the
-// Shards=1 run's, where everything folds on the engine goroutine. Both
+// TestObsLaneFoldMatchesSerial: a Shards=4 run's folded totals — events
+// counted in the controller's per-shard stats lanes and the shards'
+// counters during concurrent sweeps — must equal the Shards=1 run's. Both
 // runs are sessions drained one epoch window at a time, so every fold's
 // rollup is compared through LastEpoch as it happens.
 func TestObsLaneFoldMatchesSerial(t *testing.T) {
@@ -193,6 +193,21 @@ func TestObsMirrorsEngineDiagnostics(t *testing.T) {
 	}
 	if (snap.WakeOffTicks > 0) != (snap.Wakes > 0) {
 		t.Errorf("obs WakeOffTicks %d with %d wakes", snap.WakeOffTicks, snap.Wakes)
+	}
+	// The wake-stall histogram is derived from the per-mode wake counts;
+	// its sum may exceed the metered wakeup residency only by the wakes
+	// still charging when the run ends, at most one per router.
+	if snap.WakeStallHist.Count != res.Policy.Wakes {
+		t.Errorf("obs WakeStallHist.Count %d != policy Wakes %d", snap.WakeStallHist.Count, res.Policy.Wakes)
+	}
+	var maxStall int64
+	for m := power.MinActive; m <= power.MaxActive; m++ {
+		maxStall = max(maxStall, policy.WakeStallTicks(m))
+	}
+	routers := int64(len(res.RouterOffFraction)) // one entry per router
+	if gap := snap.WakeStallHist.Sum - snap.WakeStallTicks(); gap < 0 || gap > routers*maxStall {
+		t.Errorf("obs WakeStallHist.Sum %d - metered wakeup ticks %d = %d, want within [0, %d routers x %d]",
+			snap.WakeStallHist.Sum, snap.WakeStallTicks(), gap, routers, maxStall)
 	}
 	if snap.ModeSwitches != res.Policy.ModeSwitches {
 		t.Errorf("obs ModeSwitches %d != policy %d", snap.ModeSwitches, res.Policy.ModeSwitches)

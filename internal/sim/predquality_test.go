@@ -1,6 +1,6 @@
-// Prediction-quality layer integration tests: the per-shard histogram
-// staging must fold bucket-identical to a serial run for every paper
-// model, the /metrics exposition for a fixed trace is pinned as golden
+// Prediction-quality layer integration tests: the folded histograms and
+// mispredict attribution must be identical to a serial run's for every
+// paper model, the /metrics exposition for a fixed trace is pinned as golden
 // bytes (and must satisfy the vendored exposition checker, live over
 // HTTP too), and the Page-Hinkley drift detector must fire on a
 // phase-shifting workload while staying silent on a stationary one.
@@ -27,12 +27,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestObsHistFoldMatchesSerial proves the merge-by-addition property end
-// to end: for all five paper models, the histograms staged across 2 and
-// 4 shard lanes and folded at the epoch barrier are bucket-identical to
-// the single-lane serial run's. WakeStall is the load-bearing case — it
-// is fed from shard goroutines during concurrent sweeps; AbsErr and
-// Latency stage on the engine goroutine and must trivially agree.
+// TestObsHistFoldMatchesSerial: for all five paper models, the histograms
+// and mispredict attribution of 2- and 4-shard runs are identical to the
+// serial run's. WakeStall is derived from the wake counts the shards
+// accrue in the controller's stats lanes; the stall charge reads the
+// meters the shards bill.
 func TestObsHistFoldMatchesSerial(t *testing.T) {
 	topo := topology.NewMesh(8, 16)
 	tr := bandedTrace(topo, 20_000)

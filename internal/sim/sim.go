@@ -111,11 +111,11 @@ type Config struct {
 	// coverage on small meshes. The threshold only gates scheduling, so
 	// results are bit-identical for any value.
 	ShardMinActive int
-	// Obs attaches the observability layer (package obs): per-shard
-	// metric lanes folded at epoch boundaries, and optionally an engine
-	// phase tracer. Optional and purely diagnostic — a nil Observer
-	// leaves every hook a not-taken nil branch, and an attached one
-	// never changes results. When CollectSeries is set without an
+	// Obs attaches the observability layer (package obs): run metrics
+	// folded at epoch boundaries on the engine goroutine, and optionally
+	// an engine phase tracer. Optional and purely diagnostic — a nil
+	// Observer leaves every hook a not-taken nil branch, and an attached
+	// one never changes results. When CollectSeries is set without an
 	// Observer the engine creates an internal Metrics, so the per-epoch
 	// series always flows through the same fold path.
 	Obs *obs.Observer
@@ -520,6 +520,10 @@ type engine struct {
 	// the nil pointer.
 	obsM *obs.Metrics
 	tr   *obs.Tracer
+	// pred is the selector's IBUPredictor view (nil for selectors that
+	// predict nothing), resolved once so the boundary sweep hands obsM
+	// each decision's predicted IBU without a per-router type assertion.
+	pred policy.IBUPredictor
 
 	latencies  []int64
 	sumLatency int64
@@ -707,9 +711,7 @@ func (v netView) BuffersEmpty(r int) bool { return v.n.Routers[r].BuffersEmpty()
 func (v netView) Secured(r int) bool      { return v.n.Secured(r) }
 
 // PacketDelivered implements network.Sink. The network calls it serially
-// on the engine goroutine (Commit delivers after the worker barrier), so
-// staging the latency histogram in obs lane 0 honors the owner-only lane
-// discipline.
+// on the engine goroutine (Commit delivers after the worker barrier).
 func (e *engine) PacketDelivered(p *flit.Packet, core int, now int64) {
 	e.sumLatency += p.Latency()
 	e.nLatency++
@@ -972,10 +974,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.net.SetShards(k)
 	e.ctrl.SetStatsLanes(e.shardOf, k)
 
-	// Observability wiring. Metrics lanes follow the shard map just built
-	// (shardOf), so shard-goroutine hooks stay owner-only; the
-	// controller's event hooks activate only here, when an observer is
-	// actually attached.
+	// Observability wiring. Every obs hook runs on the engine goroutine.
 	if cfg.Obs != nil {
 		e.obsM = cfg.Obs.Metrics
 		e.tr = cfg.Obs.Tracer
@@ -991,8 +990,8 @@ func newEngine(cfg Config) (*engine, error) {
 		runLabel = cfg.Spec.Name + "/" + cfg.Trace.Name
 	}
 	if e.obsM != nil {
-		e.obsM.BindRun(runLabel, e.shardOf, k, cfg.EpochTicks, cfg.CollectSeries)
-		e.ctrl.SetObserver(e.obsM)
+		e.obsM.BindRun(runLabel, e.meter, cfg.EpochTicks, cfg.CollectSeries)
+		e.pred, _ = e.ctrl.Spec().Selector.(policy.IBUPredictor)
 	}
 	if e.tr != nil {
 		e.tr.BeginRun(runLabel, k)
@@ -1346,8 +1345,8 @@ func (e *engine) punchPath(srcCore, dstCore int) {
 }
 
 // epochBoundary closes an epoch on every router: computes epoch IBU,
-// labels the previous epoch's pending features, collects new features and
-// runs the mode selector.
+// labels the previous epoch's pending features, collects new features,
+// runs the mode selector and reports each decision to obs.
 func (e *engine) epochBoundary(now timing.Tick) {
 	if e.lazy {
 		// The §5b barrier precondition, asserted: every router must be
@@ -1372,20 +1371,25 @@ func (e *engine) epochBoundary(now timing.Tick) {
 		}
 		feats := e.ext.Collect(r, e.net, e.ctrl, ibu, now)
 		e.pending[r] = feats
-		e.ctrl.EpochBoundary(r, ibu, feats)
+		if e.ctrl.EpochBoundary(r, ibu, feats) && e.obsM != nil {
+			pred := ibu
+			if e.pred != nil {
+				pred = e.pred.PredictIBU(r, ibu, feats)
+			}
+			e.obsM.EpochDecision(r, ibu, pred, e.ctrl.Mode(r))
+		}
 	}
 	if e.obsM == nil {
 		return
 	}
 	// The epoch fold owns everything derived: the stats.EpochSample (its
 	// field computation is the engine's pre-obs code, so series CSVs are
-	// byte-identical), lane draining, residency/energy deltas, and the
-	// live snapshot. It runs here — after Commit and the catch-up
-	// barrier, with no shard worker holding a claim — which makes the
-	// single-threaded drain of the shard lanes safe.
+	// byte-identical), residency/energy deltas, and the live snapshot. It
+	// runs here — after Commit and the catch-up barrier — so the meters
+	// and the counters it reads are exact.
 	f := e.reading(int64(now))
 	f.SumIBU = sumIBU
-	driftFired := e.obsM.FoldEpoch(f, e.ctrl, e.meter)
+	driftFired := e.obsM.FoldEpoch(f, e.ctrl)
 	if driftFired && e.tr != nil {
 		// Mark the stale-weights moment on the engine track so the drift
 		// is visible in the Chrome trace timeline next to the epoch scan.
