@@ -201,8 +201,7 @@ func (s Snapshot) Deterministic() Snapshot {
 // rebinding resets per-run state, so one Metrics may observe a sequence
 // of runs.
 type Metrics struct {
-	meters []power.Meter // the engine's meters (read-only)
-	nR     int
+	meters []power.Meter // the engine's meters, one per router (read-only)
 
 	run      int64
 	label    string
@@ -260,7 +259,6 @@ func (m *Metrics) BindRun(label string, meters []power.Meter, epochTicks int64, 
 	m.label = label
 	m.started = time.Now()
 	m.meters = meters
-	m.nR = numRouters
 	m.seriesOn = collectSeries
 	m.series = nil
 	if collectSeries {
@@ -394,14 +392,14 @@ type EpochFold struct {
 // at this fold, so the engine can emit a tracer instant event for it.
 func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller) (driftFired bool) {
 	ep := Epoch{Tick: f.Now}
-	if m.nR > 0 {
-		ep.AvgIBU = f.SumIBU / float64(m.nR)
+	if nR := len(m.meters); nR > 0 {
+		ep.AvgIBU = f.SumIBU / float64(nR)
 	}
 
 	var sample stats.EpochSample
 	sample.Tick = f.Now
 	sample.AvgIBU = ep.AvgIBU
-	for r := 0; r < m.nR; r++ {
+	for r := range m.meters {
 		switch ctrl.State(r) {
 		case policy.Inactive:
 			sample.OffRouters++
