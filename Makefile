@@ -20,9 +20,9 @@ vet:
 		echo "$$fmtout"; exit 1; \
 	fi
 
-# The race target is the concurrency gate: it exercises the Suite's
-# parallel entry points (CompareParallel, HarvestParallel,
-# TrainAllParallel) under the race detector.
+# The race target is the concurrency gate: it exercises the Suite's pool
+# (TrainAll, HarvestParallel, Compare, RunBenchmarks) under the race
+# detector, with and without an observer attached.
 race:
 	$(GO) test -race ./...
 
@@ -39,12 +39,13 @@ race:
 # The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
 # are the multiplexing layer's race gate. The suite's claim-then-wait
-# harvest tests (DESIGN.md §5i) ride along too, next to the sweep job
-# tests, which train ML models from several workers at once.
+# harvest tests (DESIGN.md §5i) and the suite's pool tests ride along
+# too, next to the sweep job tests, which train ML models from several
+# workers at once.
 race-sharded:
 	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile|TestObsLaneFoldMatchesSerial|TestObsMirrorsEngineDiagnostics' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
-	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded' ./internal/core
+	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded|TestCompareParallelMatchesSequential|TestParallelOptionMatchesSequential|TestObservedSuiteRunsSerially' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
 # Fuzz smoke: run the cosim frame-decoder fuzz target, the
@@ -107,7 +108,7 @@ obs-overhead:
 
 # Exposition-format gate: render the fixed-trace golden snapshot and
 # scrape a live /metrics endpoint, validating both with the vendored
-# Prometheus text-format checker (internal/obs/promlint.go) — no
+# Prometheus text-format checker (internal/obs/promlint, test support) — no
 # external promtool needed. The obs-package unit tests for the renderer
 # and the checker itself ride along.
 metrics-lint:

@@ -48,7 +48,6 @@ func main() {
 		obsAddr    = flag.String("obs-addr", "", "serve live expvar/pprof observability on this address (e.g. localhost:6060)")
 		traceOut   = flag.String("trace-out", "", "write engine-phase spans as a Perfetto/chrome://tracing JSONL file")
 		traceWin   = flag.Int64("trace-window", 0, "keep only the trailing N base ticks of the phase trace (0 = everything)")
-		driftCfg   = cli.DriftFlags()
 	)
 	flag.Parse()
 
@@ -66,7 +65,7 @@ func main() {
 		}
 	}()
 
-	observer, closeObs, err := cli.StartObs(*obsAddr, *traceOut, *traceWin, driftCfg())
+	observer, closeObs, err := cli.StartObs(*obsAddr, *traceOut, *traceWin)
 	if err != nil {
 		fatal(err)
 	}

@@ -40,7 +40,6 @@ func main() {
 		obsAddr     = flag.String("obs-addr", "", "serve live expvar/pprof observability on this address (e.g. localhost:6060)")
 		traceOut    = flag.String("trace-out", "", "write engine-phase spans as a Perfetto/chrome://tracing JSONL file (stdio mode only)")
 		traceWin    = flag.Int64("trace-window", 0, "keep only the trailing N base ticks of the phase trace (0 = everything)")
-		driftCfg    = cli.DriftFlags()
 	)
 	flag.Parse()
 
@@ -52,7 +51,7 @@ func main() {
 		fatal(fmt.Errorf("-trace-out requires stdio mode: the phase tracer is single-goroutine, " +
 			"and only a single stdio connection serializes all session work onto one"))
 	}
-	observer, closeObs, err := cli.StartObs(*obsAddr, *traceOut, *traceWin, driftCfg())
+	observer, closeObs, err := cli.StartObs(*obsAddr, *traceOut, *traceWin)
 	if err != nil {
 		fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/mcsim"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -33,15 +32,13 @@ type runConfig struct {
 	seed      int64
 	cmesh     bool
 	csvDir    string
-	parallel  bool
 	shards    int // per-simulation tick-engine shards (0 = auto)
 	shardsMin int // sharded serial-fallback threshold (0 = sim.DefaultShardMinActive)
 	meshW     int // mesh dimensions (default 8x8)
 	meshH     int
-	obsAddr   string          // live expvar/pprof endpoint address ("" = off)
-	traceOut  string          // engine-phase Perfetto trace path ("" = off)
-	traceWin  int64           // phase-trace retention window in base ticks (0 = everything)
-	drift     obs.DriftConfig // Page-Hinkley drift-detector parameters
+	obsAddr   string // live expvar/pprof endpoint address ("" = off)
+	traceOut  string // engine-phase Perfetto trace path ("" = off)
+	traceWin  int64  // phase-trace retention window in base ticks (0 = everything)
 
 	// configureSuite, when non-nil, is applied to every suite the run
 	// builds before any simulation (tests install passthrough ML models
@@ -58,7 +55,6 @@ func main() {
 	flag.Int64Var(&rc.seed, "seed", 1, "trace generator seed")
 	flag.BoolVar(&rc.cmesh, "cmesh", true, "include the 4x4 cmesh headline row")
 	flag.StringVar(&rc.csvDir, "csv", "", "also write machine-readable CSVs for fig7/fig8/fig9/headline into this directory")
-	flag.BoolVar(&rc.parallel, "parallel", false, "run independent simulations on a worker pool (identical results, less wall-clock)")
 	flag.IntVar(&rc.shards, "shards", 0, "per-simulation tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
 	flag.IntVar(&rc.shardsMin, "shard-min-active", 0, fmt.Sprintf("sharded engine's serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -67,9 +63,7 @@ func main() {
 	flag.StringVar(&rc.obsAddr, "obs-addr", "", "serve live expvar/pprof observability on this address (e.g. localhost:6060)")
 	flag.StringVar(&rc.traceOut, "trace-out", "", "write engine-phase spans as a Perfetto/chrome://tracing JSONL file")
 	flag.Int64Var(&rc.traceWin, "trace-window", 0, "keep only the trailing N base ticks of the phase trace (0 = everything)")
-	driftCfg := cli.DriftFlags()
 	flag.Parse()
-	rc.drift = driftCfg()
 
 	stopProfiles, err := cli.StartProfiles(cpuProfile, rtTrace, memProfile)
 	if err != nil {
@@ -151,10 +145,10 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		return nil
 	}
 
-	// The observer rides along on every sequential single-run entry point
-	// (core.Options.Obs documents why the parallel paths skip it); the
-	// live endpoint shows whichever simulation folded an epoch last.
-	observer, closeObs, err := cli.StartObs(rc.obsAddr, rc.traceOut, rc.traceWin, rc.drift)
+	// The observer rides along on every simulation the suites run, which
+	// then run one at a time (core.Options.Obs); the live endpoint shows
+	// whichever simulation folded an epoch last.
+	observer, closeObs, err := cli.StartObs(rc.obsAddr, rc.traceOut, rc.traceWin)
 	if err != nil {
 		return err
 	}
@@ -164,7 +158,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		}
 	}()
 
-	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Parallel: rc.parallel, Shards: rc.shards, ShardMinActive: rc.shardsMin, Obs: observer}
+	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Shards: rc.shards, ShardMinActive: rc.shardsMin, Obs: observer}
 	newSuite := func(topo topology.Topology, o core.Options) *core.Suite {
 		s := core.NewSuite(topo, o)
 		if rc.configureSuite != nil {
@@ -177,7 +171,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		if !trained(suite) {
 			start := time.Now()
 			fmt.Fprintf(errOut, "training ML models on the %dx%d mesh...\n", rc.meshW, rc.meshH)
-			if err := suite.TrainAllParallel(); err != nil {
+			if err := suite.TrainAll(); err != nil {
 				return err
 			}
 			fmt.Fprintf(errOut, "training done in %v\n", time.Since(start).Round(time.Millisecond))

@@ -3,7 +3,6 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -168,21 +167,6 @@ func StartProfiles(cpuPath, runtimeTracePath, memPath string) (stop func() error
 	}, nil
 }
 
-// DriftFlags registers the shared prediction-drift flags (-drift-delta,
-// -drift-lambda, -drift-warmup) on the default flag set and returns a
-// function that materializes the obs.DriftConfig after flag.Parse.
-func DriftFlags() func() obs.DriftConfig {
-	delta := flag.Float64("drift-delta", obs.DefaultDriftDelta,
-		"Page-Hinkley magnitude tolerance for prediction-drift detection (IBU)")
-	lambda := flag.Float64("drift-lambda", obs.DefaultDriftLambda,
-		"Page-Hinkley firing threshold for prediction-drift detection (negative disables)")
-	warmup := flag.Int("drift-warmup", obs.DefaultDriftWarmup,
-		"epochs of matured predictions before drift detection arms")
-	return func() obs.DriftConfig {
-		return obs.DriftConfig{Delta: *delta, Lambda: *lambda, Warmup: *warmup}
-	}
-}
-
 // StartObs wires the observability flags shared by the commands: it
 // starts the live expvar/pprof endpoint when addr is non-empty
 // (-obs-addr) and opens a Perfetto-loadable engine-phase trace when
@@ -190,15 +174,13 @@ func DriftFlags() func() obs.DriftConfig {
 // selects the tracer's time-window retention mode: the file keeps only
 // events from the trailing traceWindow base ticks at each flush, which
 // is what makes always-on tracing viable for long-running processes
-// (the cosim daemon); 0 streams everything. drift parameterizes the
-// Page-Hinkley prediction-drift detector on the returned Metrics (zero
-// value = defaults; negative Lambda disables). It returns the Observer
+// (the cosim daemon); 0 streams everything. It returns the Observer
 // to attach to runs — nil when both flags are off, which disables the
 // layer entirely — and a close function for the caller to defer; close
 // flushes the phase trace and shuts the endpoint down, returning the
 // first error — an unreported flush failure would leave a silently
 // truncated trace file behind an exit code of 0.
-func StartObs(addr, tracePath string, traceWindow int64, drift obs.DriftConfig) (*obs.Observer, func() error, error) {
+func StartObs(addr, tracePath string, traceWindow int64) (*obs.Observer, func() error, error) {
 	var (
 		srv    *obs.Server
 		tf     *os.File
@@ -246,9 +228,7 @@ func StartObs(addr, tracePath string, traceWindow int64, drift obs.DriftConfig) 
 	if srv == nil && tracer == nil {
 		return nil, closeFn, nil
 	}
-	m := obs.NewMetrics()
-	m.SetDrift(drift)
-	return &obs.Observer{Metrics: m, Tracer: tracer}, closeFn, nil
+	return &obs.Observer{Metrics: obs.NewMetrics(), Tracer: tracer}, closeFn, nil
 }
 
 // WriteFile creates path, streams write into it, and closes the file,

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -105,7 +104,7 @@ func TestStartProfilesRuntimeTrace(t *testing.T) {
 
 func TestStartObs(t *testing.T) {
 	// Both flags off: no observer, close is a no-op.
-	o, closeObs, err := StartObs("", "", 0, obs.DriftConfig{})
+	o, closeObs, err := StartObs("", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestStartObs(t *testing.T) {
 	// Trace only: an observer with metrics and a tracer, file written on
 	// close.
 	path := filepath.Join(t.TempDir(), "phases.jsonl")
-	o, closeObs, err = StartObs("", path, 0, obs.DriftConfig{})
+	o, closeObs, err = StartObs("", path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestStartObs(t *testing.T) {
 	}
 
 	// Endpoint only: metrics observer, no tracer.
-	o, closeObs, err = StartObs("127.0.0.1:0", "", 0, obs.DriftConfig{})
+	o, closeObs, err = StartObs("127.0.0.1:0", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@
 //	res, err := suite.RunBenchmark(core.KindDozzNoC, "fft", 1)
 //
 // The suite caches generated traces, reactive-run datasets and trained
-// models, so repeated experiment functions share work.
+// models, so repeated experiment functions share work. Jobs made of many
+// independent simulations (TrainAll, HarvestParallel, Compare,
+// RunBenchmarks) run them on the suite's pool.
 package core
 
 import (
@@ -17,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -83,18 +86,12 @@ type Options struct {
 	Seed       int64 // trace generator seed (default 1)
 	Lambdas    []float64
 
-	// Parallel routes Compare and TrainAll through the worker-pool entry
-	// points (CompareParallel, TrainAllParallel). Each simulation is still
-	// single-threaded and deterministic, so results are identical to the
-	// sequential paths; only wall-clock changes.
-	Parallel bool
-
 	// Shards is the per-simulation tick-engine shard count (sim.Config
 	// Shards): 0 auto-sizes to min(GOMAXPROCS, NumCPU, mesh rows) —
 	// serial on a single-CPU host — and 1 forces the serial sweep.
-	// Simulations run by the across-run pools (CompareParallel,
-	// HarvestParallel, TrainAllParallel) resolve 0 to 1 instead: the
-	// pool already uses the CPUs. Bit-identical results for any value.
+	// Simulations on the suite's pool resolve 0 to 1 instead whenever the
+	// pool runs more than one at a time (see Suite.pool). Bit-identical
+	// results for any value.
 	Shards int
 
 	// ShardMinActive is the sharded engine's serial-fallback threshold
@@ -112,12 +109,12 @@ type Options struct {
 	PunchHops   int
 	NoPathPunch bool
 
-	// Obs attaches the observability layer (sim.Config.Obs) to the
-	// single-run entry points: RunTrace and everything routed through it
-	// (RunBenchmark, the sequential Compare). The concurrent paths —
-	// dataset harvesting and CompareParallel — deliberately ignore it: a
-	// Metrics binds to one run at a time, and overlapping runs would
-	// race on its lanes.
+	// Obs attaches the observability layer (sim.Config.Obs) to every
+	// simulation the suite runs, reactive harvests included. A Metrics
+	// binds to one run at a time, so with Obs set the suite's pool runs
+	// one simulation at a time; a caller that drives one suite from
+	// several goroutines leaves it nil and passes per-run observers to
+	// RunTraceObs instead.
 	Obs *obs.Observer
 }
 
@@ -180,11 +177,10 @@ func (f *Flight[T]) Wait() (T, error) {
 }
 
 // Suite orchestrates the full experimental protocol on one topology.
-// Its caches are guarded, so the parallel entry points (CompareParallel,
-// HarvestParallel) may be used from multiple goroutines; individual
-// simulations are single-threaded and deterministic. A trace is
-// generated, and a reactive dataset harvested, at most once however many
-// goroutines ask for it at the same time.
+// Its caches are guarded, so its methods may be used from multiple
+// goroutines; each simulation is deterministic. A trace is generated, and
+// a reactive dataset harvested, at most once however many goroutines ask
+// for it at the same time.
 type Suite struct {
 	Topo topology.Topology
 	Opts Options
@@ -354,21 +350,9 @@ func (s *Suite) harvest(key datasetKey, shards int) (*ml.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(sim.Config{
-		Topo:           s.Topo,
-		Spec:           s.reactiveSpec(key.kind),
-		Trace:          t,
-		VCs:            s.Opts.VCs,
-		Depth:          s.Opts.Depth,
-		Pipeline:       s.Opts.Pipeline,
-		LinkTicks:      s.Opts.LinkTicks,
-		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         shards,
-		ShardMinActive: s.Opts.ShardMinActive,
-		PunchHops:      s.Opts.PunchHops,
-		NoPathPunch:    s.Opts.NoPathPunch,
-		CollectDataset: true,
-	})
+	cfg := s.config(s.reactiveSpec(key.kind), t, shards, s.Opts.Obs)
+	cfg.CollectDataset = true
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: harvesting %v on %s: %w", key.kind, key.trace, err)
 	}
@@ -446,16 +430,13 @@ func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 	return rep, nil
 }
 
-// TrainAll trains the three ML models. With Options.Parallel it harvests
-// the underlying datasets concurrently first (TrainAllParallel).
+// TrainAll trains the three ML models: it harvests every training and
+// validation dataset on the suite's pool, then runs the (fast) lambda
+// sweeps.
 func (s *Suite) TrainAll() error {
-	if s.Opts.Parallel {
-		return s.TrainAllParallel()
+	if err := s.HarvestParallel(MLKinds, trainingTraces()); err != nil {
+		return err
 	}
-	return s.trainAllSequential()
-}
-
-func (s *Suite) trainAllSequential() error {
 	for _, k := range MLKinds {
 		if _, err := s.Train(k); err != nil {
 			return err
@@ -491,16 +472,23 @@ func (s *Suite) RunTrace(kind ModelKind, t *traffic.Trace) (*sim.Result, error) 
 
 // RunTraceObs runs one model kind over an explicit trace with an
 // explicit per-run observer (which may be nil). Unlike the suite-wide
-// Options.Obs — which binds one obs.Metrics to every sequential run and
-// therefore cannot serve overlapping runs — a per-run observer lets a
-// worker pool attach one Metrics per worker, which is how the sweep
-// orchestrator captures epoch folds for concurrent runs of one suite.
+// Options.Obs — which binds one obs.Metrics to every run and therefore
+// cannot serve overlapping runs — a per-run observer lets a worker pool
+// attach one Metrics per worker, which is how the sweep orchestrator
+// captures epoch folds for concurrent runs of one suite.
 func (s *Suite) RunTraceObs(kind ModelKind, t *traffic.Trace, o *obs.Observer) (*sim.Result, error) {
 	spec, err := s.Spec(kind)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(sim.Config{
+	return sim.Run(s.config(spec, t, s.Opts.Shards, o))
+}
+
+// config is the sim.Config of every simulation the suite runs: spec over
+// t with the suite's engine options, sweeping with the given shard count
+// and observed by o (which may be nil).
+func (s *Suite) config(spec policy.Spec, t *traffic.Trace, shards int, o *obs.Observer) sim.Config {
+	return sim.Config{
 		Topo:           s.Topo,
 		Spec:           spec,
 		Trace:          t,
@@ -509,12 +497,12 @@ func (s *Suite) RunTraceObs(kind ModelKind, t *traffic.Trace, o *obs.Observer) (
 		Pipeline:       s.Opts.Pipeline,
 		LinkTicks:      s.Opts.LinkTicks,
 		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         s.Opts.Shards,
+		Shards:         shards,
 		ShardMinActive: s.Opts.ShardMinActive,
 		PunchHops:      s.Opts.PunchHops,
 		NoPathPunch:    s.Opts.NoPathPunch,
 		Obs:            o,
-	})
+	}
 }
 
 // RunBenchmark runs one model kind over a named benchmark, compressed by
@@ -544,22 +532,56 @@ type Comparison struct {
 	Results map[ModelKind]*sim.Result
 }
 
-// Compare runs all five models over a benchmark at a compression factor.
-// ML models must be trained first. With Options.Parallel the five runs
-// execute concurrently (CompareParallel) with identical results.
+// Compare runs all five models over a benchmark at a compression factor
+// on the suite's pool. ML models must be trained first.
 func (s *Suite) Compare(bench string, factor int64) (*Comparison, error) {
-	if s.Opts.Parallel {
-		return s.CompareParallel(bench, factor)
+	runs := make([]Run, len(AllKinds))
+	for i, k := range AllKinds {
+		runs[i] = Run{Kind: k, Bench: bench, Factor: factor}
+	}
+	results, err := s.RunBenchmarks(runs)
+	if err != nil {
+		return nil, err
 	}
 	c := &Comparison{Bench: bench, Factor: factor, Results: make(map[ModelKind]*sim.Result)}
-	for _, k := range AllKinds {
-		res, err := s.RunBenchmark(k, bench, factor)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v on %s: %w", k, bench, err)
-		}
-		c.Results[k] = res
+	for i, k := range AllKinds {
+		c.Results[k] = results[i]
 	}
 	return c, nil
+}
+
+// Run names one simulation of a benchmark: a model kind over the
+// benchmark's trace compressed by Factor (1 = uncompressed).
+type Run struct {
+	Kind   ModelKind
+	Bench  string
+	Factor int64
+}
+
+// RunBenchmarks runs every run on the suite's pool and returns the
+// results in run order. Each result equals what RunBenchmark returns for
+// the same run, up to the scheduling diagnostics.
+func (s *Suite) RunBenchmarks(runs []Run) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(runs))
+	err := s.forEach(len(runs), func(i, shards int) error {
+		r := runs[i]
+		spec, err := s.Spec(r.Kind) // fresh selector state per run
+		if err != nil {
+			return err
+		}
+		t, err := s.TraceCompressed(r.Bench, r.Factor)
+		if err != nil {
+			return err
+		}
+		if out[i], err = sim.Run(s.config(spec, t, shards, s.Opts.Obs)); err != nil {
+			return fmt.Errorf("core: %v on %s: %w", r.Kind, r.Bench, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Relative compares a model's result against the baseline's on the same
@@ -609,107 +631,60 @@ func (c *Comparison) Relatives() []Relative {
 	return out
 }
 
-// pooledShards is the shard count of a simulation launched by one of the
-// suite's across-run pools (CompareParallel, HarvestParallel). The pool
-// already keeps every CPU busy, so auto sharding (0) resolves to the
-// serial sweep there: a sharded run's workers would only spin against
-// sibling runs. An explicit count is kept.
-func (s *Suite) pooledShards() int {
-	if s.Opts.Shards == 0 {
-		return 1
+// pool returns how the suite's pool runs its simulations: width of them
+// at once, each sweeping with the given shard count. The pool is
+// GOMAXPROCS runs wide, or one run wide when Options.Obs is attached,
+// since a Metrics binds to one run at a time. In a pool wider than one,
+// auto sharding (Shards 0) resolves to the serial sweep: the pool already
+// keeps every CPU busy, and a sharded run's workers would only spin
+// against sibling runs. An explicit count is kept.
+func (s *Suite) pool() (width, shards int) {
+	width, shards = runtime.GOMAXPROCS(0), s.Opts.Shards
+	if s.Opts.Obs != nil {
+		width = 1
 	}
-	return s.Opts.Shards
+	if width > 1 && shards == 0 {
+		shards = 1
+	}
+	return width, shards
 }
 
-// HarvestParallel pre-populates the reactive datasets of the given ML
-// kinds over the given traces using up to GOMAXPROCS goroutines; each
-// harvest is an independent, deterministic simulation. Every goroutine
-// walks the whole job list and runs the harvests nobody has started, then
-// the results are collected in order. Subsequent Train calls hit the
-// cache.
-func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
-	workers := min(runtime.GOMAXPROCS(0), len(kinds)*len(traces))
+// forEach calls job(i, shards) for every i in [0, n) on the suite's pool
+// and returns the error of the lowest failing i. Each job is an
+// independent, deterministic simulation, so the pool's width changes only
+// the wall time.
+func (s *Suite) forEach(n int, job func(i, shards int) error) error {
+	width, shards := s.pool()
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(width, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, k := range kinds {
-				for _, tr := range traces {
-					s.dataset(datasetKey{k, tr}, false, s.pooledShards()) // a failure resurfaces below
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = job(i, shards)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, k := range kinds {
-		for _, tr := range traces {
-			if _, err := s.Dataset(k, tr); err != nil {
-				return err
-			}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// TrainAllParallel harvests every training/validation dataset in
-// parallel, then runs the (fast) lambda sweeps.
-func (s *Suite) TrainAllParallel() error {
-	if err := s.HarvestParallel(MLKinds, trainingTraces()); err != nil {
+// HarvestParallel harvests the reactive datasets of the given ML kinds
+// over the given traces on the suite's pool. A harvest another goroutine
+// has already started is waited for, not repeated. Subsequent Train calls
+// hit the cache.
+func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
+	return s.forEach(len(kinds)*len(traces), func(i, shards int) error {
+		_, err := s.dataset(datasetKey{kinds[i/len(traces)], traces[i%len(traces)]}, true, shards)
 		return err
-	}
-	return s.trainAllSequential()
-}
-
-// CompareParallel runs the five models concurrently over one workload.
-// Results are identical to Compare (each simulation is isolated and
-// deterministic); only wall-clock differs on multicore hosts.
-func (s *Suite) CompareParallel(bench string, factor int64) (*Comparison, error) {
-	t, err := s.TraceCompressed(bench, factor)
-	if err != nil {
-		return nil, err
-	}
-	c := &Comparison{Bench: bench, Factor: factor, Results: make(map[ModelKind]*sim.Result)}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make(chan error, len(AllKinds))
-	for _, k := range AllKinds {
-		spec, err := s.Spec(k) // fresh selector state per spec
-		if err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(kind ModelKind, spec policy.Spec) {
-			defer wg.Done()
-			res, err := sim.Run(sim.Config{
-				Topo:           s.Topo,
-				Spec:           spec,
-				Trace:          t,
-				VCs:            s.Opts.VCs,
-				Depth:          s.Opts.Depth,
-				Pipeline:       s.Opts.Pipeline,
-				LinkTicks:      s.Opts.LinkTicks,
-				EpochTicks:     s.Opts.EpochTicks,
-				Shards:         s.pooledShards(),
-				ShardMinActive: s.Opts.ShardMinActive,
-				PunchHops:      s.Opts.PunchHops,
-				NoPathPunch:    s.Opts.NoPathPunch,
-			})
-			if err != nil {
-				errs <- fmt.Errorf("core: %v on %s: %w", kind, bench, err)
-				return
-			}
-			mu.Lock()
-			c.Results[kind] = res
-			mu.Unlock()
-		}(k, spec)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
-	}
-	return c, nil
+	})
 }
 
 // WeightsFileName returns the conventional weights-file name for an ML

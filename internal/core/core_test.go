@@ -236,27 +236,33 @@ func TestRelativeEDP(t *testing.T) {
 	}
 }
 
+// TestCompareParallelMatchesSequential is the pool's reference oracle:
+// every result of the pooled Compare deeply equals a direct, sequential
+// RunBenchmark of the same kind, once the scheduling diagnostics are
+// zeroed (a pooled run sweeps serially under auto sharding, a direct one
+// may shard).
 func TestCompareParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel comparison in -short mode")
-	}
-	s := tinySuite(t)
+	s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3})
 	for _, k := range MLKinds {
 		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
 	}
-	seq, err := s.Compare("fft", 1)
+	cmp, err := s.Compare("fft", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := s.CompareParallel("fft", 1)
-	if err != nil {
-		t.Fatal(err)
+	if cmp.Bench != "fft" || cmp.Factor != 2 || len(cmp.Results) != len(AllKinds) {
+		t.Fatalf("comparison %s x%d has %d results", cmp.Bench, cmp.Factor, len(cmp.Results))
 	}
 	for _, k := range AllKinds {
-		a, b := seq.Results[k], par.Results[k]
-		if a.Ticks != b.Ticks || a.StaticJ != b.StaticJ || a.DynamicJ != b.DynamicJ ||
-			a.PacketsDelivered != b.PacketsDelivered {
-			t.Fatalf("%v: parallel result diverged (%d vs %d ticks)", k, a.Ticks, b.Ticks)
+		want, err := s.RunBenchmark(k, "fft", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cmp.Results[k]
+		zeroDiagnostics(want)
+		zeroDiagnostics(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: pooled result differs from RunBenchmark:\npool:   %+v\ndirect: %+v", k, got, want)
 		}
 	}
 }
@@ -286,6 +292,35 @@ func bandedTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 	return tr
 }
 
+// TestParallelOptionMatchesSequential pins that the pool's width is
+// purely a scheduling choice: Compare on a pool GOMAXPROCS runs wide
+// deeply equals Compare on a one-run-wide pool (GOMAXPROCS 1, which also
+// makes every run sweep serially), once the scheduling diagnostics are
+// zeroed.
+func TestParallelOptionMatchesSequential(t *testing.T) {
+	compare := func() *Comparison {
+		s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3})
+		for _, k := range MLKinds {
+			s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
+		}
+		c, err := s.Compare("fft", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range c.Results {
+			zeroDiagnostics(r)
+		}
+		return c
+	}
+	par := compare()
+	prev := runtime.GOMAXPROCS(1)
+	seq := compare()
+	runtime.GOMAXPROCS(prev)
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("pooled comparison differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
 // zeroDiagnostics clears the Result fields that describe how a run was
 // scheduled rather than what it computed.
 func zeroDiagnostics(r *sim.Result) {
@@ -299,42 +334,67 @@ func zeroDiagnostics(r *sim.Result) {
 	r.ShardResplits = 0
 }
 
-// TestCompareParallelRunsUnsharded checks that the across-run pool does
-// not nest intra-run sharding under auto sizing: on banded traffic where
-// a sharded sweep engages on nearly every tick, every pooled run must
-// sweep serially, and still match the sequential Compare exactly.
+// TestCompareParallelRunsUnsharded checks that the suite's pool does not
+// nest intra-run sharding under auto sizing: on banded traffic where a
+// sharded sweep engages on nearly every tick, every pooled run — Compare's
+// five, and a Fig7-shaped batch of ML kinds over several benchmarks —
+// must sweep serially, and still match a direct RunBenchmark exactly.
 func TestCompareParallelRunsUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel comparison in -short mode")
 	}
 	topo := topology.NewMesh(8, 16)
 	s := NewSuite(topo, Options{Horizon: 8000, Seed: 3, ShardMinActive: -1})
-	s.PutTrace("banded", bandedTrace(topo, 8000))
+	tr := bandedTrace(topo, 8000)
+	benches := []string{"banded", "banded2"}
+	for _, b := range benches {
+		s.PutTrace(b, tr)
+	}
 	for _, k := range MLKinds {
 		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
 	}
-	seq, err := s.Compare("banded", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := s.CompareParallel("banded", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := make(map[ModelKind]*sim.Result)
 	autoSharded := min(runtime.GOMAXPROCS(0), runtime.NumCPU()) > 1
 	for _, k := range AllKinds {
-		a, b := seq.Results[k], par.Results[k]
-		if autoSharded && a.ParallelTicks == 0 {
-			t.Errorf("%v: the sequential run never swept concurrently; the check below would be vacuous", k)
+		res, err := s.RunBenchmark(k, "banded", 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if b.ParallelTicks != 0 {
-			t.Errorf("%v: pooled run swept %d ticks concurrently", k, b.ParallelTicks)
+		if autoSharded && res.ParallelTicks == 0 {
+			t.Errorf("%v: the direct run never swept concurrently; the check below would be vacuous", k)
 		}
-		zeroDiagnostics(a)
-		zeroDiagnostics(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%v: pooled result differs from the sequential one", k)
+		zeroDiagnostics(res)
+		direct[k] = res
+	}
+	check := func(what string, k ModelKind, res *sim.Result) {
+		t.Helper()
+		if res.ParallelTicks != 0 {
+			t.Errorf("%s %v: pooled run swept %d ticks concurrently", what, k, res.ParallelTicks)
 		}
+		zeroDiagnostics(res)
+		if !reflect.DeepEqual(res, direct[k]) {
+			t.Errorf("%s %v: pooled result differs from the direct one", what, k)
+		}
+	}
+	cmp, err := s.Compare("banded", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range AllKinds {
+		check("Compare", k, cmp.Results[k])
+	}
+	var runs []Run
+	for _, k := range MLKinds {
+		for _, b := range benches {
+			runs = append(runs, Run{Kind: k, Bench: b, Factor: 1})
+		}
+	}
+	results, err := s.RunBenchmarks(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range runs {
+		check("RunBenchmarks "+r.Bench, r.Kind, results[i])
 	}
 }
 
@@ -367,7 +427,7 @@ func TestTrainAllParallel(t *testing.T) {
 		t.Skip("parallel training in -short mode")
 	}
 	s := tinySuite(t)
-	if err := s.TrainAllParallel(); err != nil {
+	if err := s.TrainAll(); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range MLKinds {

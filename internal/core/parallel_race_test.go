@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -115,11 +117,11 @@ func TestConcurrentTrainHarvestsOnce(t *testing.T) {
 	}
 }
 
-// TestParallelEntryPointsConcurrently exercises CompareParallel,
-// HarvestParallel and TrainAllParallel at the same time on one shared
-// suite, so `go test -race` patrols the cache locking and the worker
-// pools. Passthrough models are installed up front so CompareParallel
-// can run while the harvest is still populating the dataset cache.
+// TestParallelEntryPointsConcurrently exercises HarvestParallel,
+// TrainAll, Compare and RunBenchmarks at the same time on one shared
+// suite, so `go test -race` patrols the cache locking and the pool.
+// Passthrough models are installed up front so Compare can run while the
+// harvest is still populating the dataset cache.
 func TestParallelEntryPointsConcurrently(t *testing.T) {
 	s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3})
 	for _, k := range MLKinds {
@@ -130,37 +132,38 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 	errs := make(chan error, 8)
 	var mu sync.Mutex
 	comparisons := make(map[string]*Comparison)
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := s.HarvestParallel(MLKinds, []string{"fft", "blackscholes"}); err != nil {
-			errs <- err
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// TrainAllParallel re-harvests every train/validation dataset and
-		// then overwrites the passthrough models under the suite lock.
-		if err := s.TrainAllParallel(); err != nil {
-			errs <- err
-		}
-	}()
-	for _, bench := range []string{"fft", "blackscholes"} {
+	run := func(f func() error) {
 		wg.Add(1)
-		go func(bench string) {
+		go func() {
 			defer wg.Done()
-			c, err := s.CompareParallel(bench, 1)
-			if err != nil {
+			if err := f(); err != nil {
 				errs <- err
-				return
+			}
+		}()
+	}
+
+	run(func() error { return s.HarvestParallel(MLKinds, []string{"fft", "blackscholes"}) })
+	// TrainAll re-harvests every train/validation dataset and then
+	// overwrites the passthrough models under the suite lock.
+	run(s.TrainAll)
+	for _, bench := range []string{"fft", "blackscholes"} {
+		run(func() error {
+			c, err := s.Compare(bench, 1)
+			if err != nil {
+				return err
 			}
 			mu.Lock()
 			comparisons[bench] = c
 			mu.Unlock()
-		}(bench)
+			return nil
+		})
 	}
+	runs := []Run{{KindDozzNoC, "fft", 1}, {KindLEAD, "lu", 2}, {KindTurbo, "blackscholes", 1}}
+	var batch []*sim.Result
+	run(func() (err error) {
+		batch, err = s.RunBenchmarks(runs)
+		return err
+	})
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -171,35 +174,40 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 			t.Errorf("%s: comparison has %d results, want %d", bench, len(c.Results), len(AllKinds))
 		}
 	}
+	for i, res := range batch {
+		if res == nil || !res.Drained {
+			t.Errorf("%+v: batch run missing or undrained", runs[i])
+		}
+	}
 }
 
-// TestParallelOptionMatchesSequential pins that Options.Parallel is
-// purely a scheduling choice: Compare on a parallel suite produces
-// deeply equal results to a sequential one. The scheduling diagnostics
-// are zeroed first: pooled runs sweep serially under auto sharding, so
-// their shard counts legitimately differ.
-func TestParallelOptionMatchesSequential(t *testing.T) {
-	build := func(parallel bool) *Suite {
-		s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3, Parallel: parallel})
-		for _, k := range MLKinds {
-			s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
-		}
-		return s
+// TestObservedSuiteRunsSerially runs TrainAll and Compare on a suite with
+// an observer attached. A Metrics binds to one run at a time, so the pool
+// must run the suite's simulations one by one; under `go test -race` a
+// wider pool sharing the Metrics is flagged. The bind count shows the
+// observer folded every run: the 27 reactive harvests and the 5 compared
+// models.
+func TestObservedSuiteRunsSerially(t *testing.T) {
+	o := obs.New()
+	s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3, Obs: o})
+	if width, _ := s.pool(); width != 1 {
+		t.Fatalf("observed suite's pool is %d runs wide, want 1", width)
 	}
-	seq, err := build(false).Compare("fft", 1)
-	if err != nil {
+	if err := s.TrainAll(); err != nil {
 		t.Fatal(err)
 	}
-	par, err := build(true).Compare("fft", 1)
-	if err != nil {
+	harvests := int64(len(MLKinds) * len(trainingTraces()))
+	if got := o.Metrics.Snapshot().Run; got != harvests {
+		t.Fatalf("observer bound %d runs during TrainAll, want %d", got, harvests)
+	}
+	if _, err := s.Compare("fft", 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Comparison{seq, par} {
-		for _, r := range c.Results {
-			zeroDiagnostics(r)
-		}
+	snap := o.Metrics.Snapshot()
+	if want := harvests + int64(len(AllKinds)); snap.Run != want {
+		t.Fatalf("observer bound %d runs, want %d", snap.Run, want)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel comparison differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	if snap.Label == "" || snap.Epochs == 0 {
+		t.Fatalf("last compared run not folded: %+v", snap)
 	}
 }

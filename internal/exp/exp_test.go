@@ -132,12 +132,16 @@ func TestFig7Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	benches := TestBenchNames()
 	for _, kind := range core.MLKinds {
 		dists := r.Models[kind]
 		if len(dists) != 5 {
 			t.Fatalf("%v: %d benches", kind, len(dists))
 		}
-		for _, d := range dists {
+		for i, d := range dists {
+			if d.Bench != benches[i] {
+				t.Fatalf("%v: distribution %d is %s, want %s", kind, i, d.Bench, benches[i])
+			}
 			sum := 0.0
 			for _, v := range d.Share {
 				sum += v
@@ -145,6 +149,17 @@ func TestFig7Small(t *testing.T) {
 			if sum < 0.99 || sum > 1.01 {
 				t.Fatalf("%v/%s: shares sum to %g", kind, d.Bench, sum)
 			}
+		}
+	}
+	// The pooled runs match a direct run of the same kind and benchmark.
+	res, err := s.RunBenchmark(core.KindDozzNoC, benches[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Models[core.KindDozzNoC][0].Share
+	for m := range got {
+		if want := float64(res.Policy.ModeDecisions[m]) / float64(res.Policy.EpochDecisions); got[m] != want {
+			t.Fatalf("DozzNoC/%s mode %d share %g, direct run %g", benches[0], m, got[m], want)
 		}
 	}
 	var buf bytes.Buffer

@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -106,73 +104,27 @@ func Fig7(s *core.Suite) (*Fig7Result, error) {
 	if err := requireTrained(s); err != nil {
 		return nil, err
 	}
-	benches := TestBenchNames()
-	type job struct{ ki, bi int }
-	var jobs []job
-	for ki := range core.MLKinds {
-		for bi := range benches {
-			jobs = append(jobs, job{ki, bi})
+	var runs []core.Run
+	for _, kind := range core.MLKinds {
+		for _, bench := range TestBenchNames() {
+			runs = append(runs, core.Run{Kind: kind, Bench: bench, Factor: 1})
 		}
 	}
-	// dists[ki][bi] keeps the output order fixed regardless of worker
-	// scheduling; each (kind, bench) run is an independent simulation.
-	dists := make([][]ModeDist, len(core.MLKinds))
-	for ki := range dists {
-		dists[ki] = make([]ModeDist, len(benches))
-	}
-	runOne := func(j job) error {
-		res, err := s.RunBenchmark(core.MLKinds[j.ki], benches[j.bi], 1)
-		if err != nil {
-			return err
-		}
-		d := ModeDist{Bench: benches[j.bi]}
-		total := float64(res.Policy.EpochDecisions)
-		if total > 0 {
-			for i := range d.Share {
-				d.Share[i] = float64(res.Policy.ModeDecisions[i]) / total
-			}
-		}
-		dists[j.ki][j.bi] = d
-		return nil
-	}
-	if s.Opts.Parallel {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		ch := make(chan job)
-		errs := make(chan error, len(jobs))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					if err := runOne(j); err != nil {
-						errs <- err
-					}
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return nil, err
-		}
-	} else {
-		for _, j := range jobs {
-			if err := runOne(j); err != nil {
-				return nil, err
-			}
-		}
+	results, err := s.RunBenchmarks(runs)
+	if err != nil {
+		return nil, err
 	}
 	out := &Fig7Result{Models: make(map[core.ModelKind][]ModeDist)}
-	for ki, kind := range core.MLKinds {
-		out.Models[kind] = dists[ki]
+	for i, r := range runs {
+		res := results[i]
+		d := ModeDist{Bench: r.Bench}
+		total := float64(res.Policy.EpochDecisions)
+		if total > 0 {
+			for m := range d.Share {
+				d.Share[m] = float64(res.Policy.ModeDecisions[m]) / total
+			}
+		}
+		out.Models[r.Kind] = append(out.Models[r.Kind], d)
 	}
 	return out, nil
 }

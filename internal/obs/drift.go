@@ -11,75 +11,40 @@ package obs
 // folds on the engine goroutine, so it is deterministic and adds no
 // hot-path cost.
 
-// DriftConfig parameterizes the Page–Hinkley detector. The zero value
-// selects the defaults below; a negative Lambda disables detection.
-type DriftConfig struct {
-	// Delta is the magnitude tolerance: per-epoch error deviations below
-	// Delta never accumulate. Default 0.005 IBU.
-	Delta float64
-	// Lambda is the firing threshold on the accumulated deviation.
-	// Default 0.05; negative disables the detector.
-	Lambda float64
-	// Warmup is the number of epochs with matured predictions observed
-	// before detection arms (the running mean needs a baseline).
-	// Default 10.
-	Warmup int
-}
-
-// Detector defaults (DESIGN.md §5j).
+// Detector constants (DESIGN.md §5j). Per-epoch error deviations below
+// DefaultDriftDelta (IBU) never accumulate; the detector fires when the
+// accumulated deviation exceeds DefaultDriftLambda; and it arms only after
+// DefaultDriftWarmup epochs with matured predictions, so the running mean
+// has a baseline.
 const (
 	DefaultDriftDelta  = 0.005
 	DefaultDriftLambda = 0.05
 	DefaultDriftWarmup = 10
 )
 
-// withDefaults fills zero fields with the defaults.
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Delta == 0 {
-		c.Delta = DefaultDriftDelta
-	}
-	if c.Lambda == 0 {
-		c.Lambda = DefaultDriftLambda
-	}
-	if c.Warmup == 0 {
-		c.Warmup = DefaultDriftWarmup
-	}
-	return c
-}
-
 // driftState is the detector's running state for one run (reset by
-// BindRun; the config survives rebinding).
+// BindRun).
 type driftState struct {
-	cfg  DriftConfig
 	n    int64   // epochs observed since the last reset/fire
 	mean float64 // running mean of the observed per-epoch errors
 	g    float64 // Page–Hinkley accumulator
-}
-
-func (d *driftState) reset(cfg DriftConfig) {
-	d.cfg = cfg.withDefaults()
-	d.n, d.mean, d.g = 0, 0, 0
 }
 
 // observe feeds one epoch's mean absolute prediction error and reports
 // whether the detector fired. After a fire the state re-arms from
 // scratch so repeated drifts in one run each count.
 func (d *driftState) observe(err float64) bool {
-	if d.cfg.Lambda < 0 {
-		return false
-	}
 	d.n++
 	d.mean += (err - d.mean) / float64(d.n)
-	d.g += err - d.mean - d.cfg.Delta
+	d.g += err - d.mean - DefaultDriftDelta
 	if d.g < 0 {
 		d.g = 0
 	}
-	if d.n <= int64(d.cfg.Warmup) {
+	if d.n <= DefaultDriftWarmup {
 		return false
 	}
-	if d.g > d.cfg.Lambda {
-		cfg := d.cfg
-		d.reset(cfg)
+	if d.g > DefaultDriftLambda {
+		*d = driftState{}
 		return true
 	}
 	return false

@@ -9,7 +9,6 @@ import (
 // Page-Hinkley detector; a sustained upward mean shift does.
 func TestDriftFiresOnShiftOnly(t *testing.T) {
 	var d driftState
-	d.reset(DriftConfig{})
 	rng := rand.New(rand.NewSource(3))
 	noise := func() float64 { return 0.01 + 0.004*rng.Float64() }
 	for i := 0; i < 500; i++ {
@@ -29,17 +28,15 @@ func TestDriftFiresOnShiftOnly(t *testing.T) {
 	}
 }
 
-// TestDriftWarmupAndDisable: no fire inside the warmup window even
-// across a huge shift, and a negative Lambda disables detection
-// outright.
-func TestDriftWarmupAndDisable(t *testing.T) {
+// TestDriftWarmup: no fire inside the warmup window even across a huge
+// shift, then a fire on the first armed epoch.
+func TestDriftWarmup(t *testing.T) {
 	var d driftState
-	d.reset(DriftConfig{Warmup: 20})
-	// Shift from 0.01 to 10.0 at epoch 10 — still inside warmup, so the
+	// Shift from 0.01 to 10.0 halfway through the warmup, so the
 	// accumulator grows but must not fire yet.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < DefaultDriftWarmup; i++ {
 		err := 0.01
-		if i >= 10 {
+		if i >= DefaultDriftWarmup/2 {
 			err = 10.0
 		}
 		if d.observe(err) {
@@ -49,21 +46,12 @@ func TestDriftWarmupAndDisable(t *testing.T) {
 	if !d.observe(10.0) {
 		t.Fatal("did not fire on the first armed epoch despite a huge accumulated shift")
 	}
-
-	var off driftState
-	off.reset(DriftConfig{Lambda: -1})
-	for i := 0; i < 100; i++ {
-		if off.observe(10.0) {
-			t.Fatal("disabled detector fired")
-		}
-	}
 }
 
 // TestDriftRearms: after a fire the detector resets and a later sustained
 // shift fires again, so repeated drifts in one run each count.
 func TestDriftRearms(t *testing.T) {
 	var d driftState
-	d.reset(DriftConfig{Warmup: 5})
 	fires := 0
 	feed := func(level float64, n int) {
 		for i := 0; i < n; i++ {

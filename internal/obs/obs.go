@@ -239,9 +239,8 @@ type Metrics struct {
 	stallSeen  []int64
 
 	// Drift detection over the per-epoch folded mean abs error
-	// (drift.go). driftCfg survives rebinding; drift state does not.
-	driftCfg DriftConfig
-	drift    driftState
+	// (drift.go), reset per run.
+	drift driftState
 }
 
 // NewMetrics returns an unbound Metrics; the engine binds it at run
@@ -285,18 +284,8 @@ func (m *Metrics) BindRun(label string, meters []power.Meter, epochTicks int64, 
 	m.epochTicks = epochTicks
 	m.lastMode = make([]power.Mode, numRouters)
 	m.stallSeen = make([]int64, numRouters)
-	m.drift.reset(m.driftCfg)
+	m.drift = driftState{}
 	setDriftGauge(0)
-}
-
-// SetDrift configures the Page–Hinkley drift detector (zero fields mean
-// defaults; a negative Lambda disables detection). The configuration
-// survives rebinding — set it once when building the Observer — but the
-// detector state itself resets per run. Call before or between runs,
-// not mid-run.
-func (m *Metrics) SetDrift(cfg DriftConfig) {
-	m.driftCfg = cfg
-	m.drift.reset(cfg)
 }
 
 // DriftEvents returns the drift-detector fire count of the current run.

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs/promlint"
 )
 
 // testSnapshot builds a synthetic snapshot exercising every rendered
@@ -48,7 +50,7 @@ func testSnapshot() *Snapshot {
 // carry the families the acceptance criteria name.
 func TestRenderMetricsLintsClean(t *testing.T) {
 	out := string(RenderMetrics(testSnapshot()))
-	if errs := LintExposition([]byte(out)); len(errs) != 0 {
+	if errs := promlint.Lint([]byte(out)); len(errs) != 0 {
 		t.Fatalf("rendered exposition fails lint:\n%v\n---\n%s", errs, out)
 	}
 	for _, want := range []string{
@@ -103,12 +105,12 @@ func TestLintExpositionCatchesBreakage(t *testing.T) {
 		"duplicate TYPE":       "# TYPE x counter\n# TYPE x counter\nx 1\n",
 	}
 	for name, in := range cases {
-		if errs := LintExposition([]byte(in)); len(errs) == 0 {
+		if errs := promlint.Lint([]byte(in)); len(errs) == 0 {
 			t.Errorf("%s: lint accepted %q", name, in)
 		}
 	}
 	clean := "# HELP x ok\n# TYPE x counter\nx{a=\"b\"} 1\n"
-	if errs := LintExposition([]byte(clean)); len(errs) != 0 {
+	if errs := promlint.Lint([]byte(clean)); len(errs) != 0 {
 		t.Errorf("lint rejected clean exposition: %v", errs)
 	}
 }

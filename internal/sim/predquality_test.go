@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/obs"
+	"repro/internal/obs/promlint"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -124,7 +125,7 @@ func fixedMetricsSnapshot(t *testing.T) obs.Snapshot {
 func TestMetricsGoldenExposition(t *testing.T) {
 	snap := fixedMetricsSnapshot(t)
 	got := obs.RenderMetrics(&snap)
-	if errs := obs.LintExposition(got); len(errs) != 0 {
+	if errs := promlint.Lint(got); len(errs) != 0 {
 		t.Fatalf("exposition fails lint: %v", errs)
 	}
 	path := filepath.Join("testdata", "metrics_golden.txt")
@@ -165,7 +166,7 @@ func TestMetricsEndpointLint(t *testing.T) {
 	if len(body) == 0 {
 		t.Fatal("live /metrics is empty after an observed run")
 	}
-	if errs := obs.LintExposition(body); len(errs) != 0 {
+	if errs := promlint.Lint(body); len(errs) != 0 {
 		t.Fatalf("live /metrics fails exposition lint: %v\n%s", errs, body)
 	}
 	for _, want := range []string{"dozznoc_pred_abs_err_ibu_bucket", "dozznoc_underpred_decisions_total"} {
@@ -221,7 +222,6 @@ func driftRun(t *testing.T, stationary bool) int64 {
 	t.Helper()
 	topo := topology.NewMesh(4, 4)
 	observer := obs.New()
-	observer.Metrics.SetDrift(obs.DriftConfig{}) // paper defaults
 	spec := policy.DVFSML(policy.ProactiveSelector{Model: constPredictor(0.01), ModelName: "frozen"})
 	res, err := sim.Run(sim.Config{
 		Topo:  topo,

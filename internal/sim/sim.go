@@ -63,8 +63,9 @@ type Config struct {
 	// PunchHops is how many routers of a packet's XY path (starting at
 	// the source router) receive a wake punch at injection time; routers
 	// further along are woken one hop ahead as the head flit advances,
-	// making the scheme partially (not fully) non-blocking. Default 2;
-	// negative punches the entire path.
+	// making the scheme partially (not fully) non-blocking. Negative
+	// punches the entire path; 0 selects DefaultPunchHops (-1), the
+	// whole path.
 	PunchHops int
 	// NoPathPunch disables injection-time punching entirely (heads still
 	// wake their next hop on acceptance).
