@@ -80,3 +80,21 @@ func TestGoldenHeadline(t *testing.T) {
 		configureSuite: passthrough,
 	})
 }
+
+// TestGoldenAblations snapshots every ablation section (T-Idle, punch
+// horizon, global DVFS, feature counts, DozzNoC-41, Fig 9, epoch sizes,
+// closed loop) on a reduced 4x4 suite with passthrough predictors.
+// Seed 1 keeps the snapshot valid across changes to how the sections
+// pick their traces and mcsim seeds: every such section reads the
+// suite's seed, and seed 1 is the one their fixed presets used.
+func TestGoldenAblations(t *testing.T) {
+	checkGolden(t, "ablations-4x4", runConfig{
+		only:           "tidle,punch,globaldvfs,featcount,feat41,fig9,epochs,closedloop",
+		horizon:        8000,
+		seed:           1,
+		compress:       2,
+		meshW:          4,
+		meshH:          4,
+		configureSuite: passthrough,
+	})
+}
