@@ -21,7 +21,7 @@ vet:
 	fi
 
 # The race target is the concurrency gate: it exercises the Suite's pool
-# (TrainAll, HarvestParallel, Compare, RunBenchmarks) under the race
+# (TrainAll, HarvestParallel, Compare, RunBenchmarks, RunConfigs) under the race
 # detector, with and without an observer attached.
 race:
 	$(GO) test -race ./...
@@ -41,12 +41,14 @@ race:
 # are the multiplexing layer's race gate. The suite's claim-then-wait
 # harvest tests (DESIGN.md §5i) and the suite's pool tests ride along
 # too, next to the sweep job tests, which train ML models from several
-# workers at once.
+# workers at once. The pooled-experiment tests run the ablations'
+# concurrent mcsim workloads and global selectors on the suite's pool.
 race-sharded:
 	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile|TestObsLaneFoldMatchesSerial|TestObsMirrorsEngineDiagnostics' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
 	$(GO) test -race -run 'TestConcurrentTrainHarvestsOnce|TestParallelEntryPointsConcurrently|TestHarvestParallel|TestCompareParallelRunsUnsharded|TestCompareParallelMatchesSequential|TestParallelOptionMatchesSequential|TestObservedSuiteRunsSerially' ./internal/core
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
+	$(GO) test -race -run 'TestPooledAblationsMatchDirectRuns|TestObservedAblationsBindEveryRun' ./internal/exp
 
 # Fuzz smoke: run the cosim frame-decoder fuzz target, the
 # engine-vs-reference differential fuzzer, the sweep-spec fuzzer and the

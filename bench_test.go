@@ -705,12 +705,12 @@ func BenchmarkSIMOConverter(b *testing.B) {
 // BenchmarkClosedLoop measures the full-system (mcsim) comparison across
 // all five models on a reduced mesh.
 func BenchmarkClosedLoop(b *testing.B) {
-	topo := topology.NewMesh(4, 4)
-	params := mcsim.DefaultSystem(topo)
+	s := core.NewSuite(topology.NewMesh(4, 4), core.Options{})
+	params := mcsim.DefaultSystem(s.Topo)
 	params.Core.Instructions = 20_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exp.ClosedLoop(topo, params)
+		r, err := exp.ClosedLoop(s, params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -733,14 +733,14 @@ func BenchmarkFeatureSet41(b *testing.B) {
 
 // BenchmarkAblations measures the T-Idle and punch-horizon sweeps.
 func BenchmarkAblations(b *testing.B) {
-	topo := topology.NewMesh(4, 4)
+	s := core.NewSuite(topology.NewMesh(4, 4), core.Options{Horizon: 6000})
 	for i := 0; i < b.N; i++ {
-		t, err := exp.TIdleSweep(topo, "fft", 6000, []int{2, 4, 8})
+		t, err := exp.TIdleSweep(s, "fft", []int{2, 4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
 		t.Write(io.Discard)
-		p, err := exp.PunchSweep(topo, "fft", 6000, []int{0, -1})
+		p, err := exp.PunchSweep(s, "fft", []int{0, -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -241,7 +241,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	}
 	if sel("tidle") {
 		section("tidle")
-		r, err := exp.TIdleSweep(topology.NewMesh(rc.meshW, rc.meshH), "fft", rc.horizon, []int{2, 4, 8, 16, 32})
+		r, err := exp.TIdleSweep(suite, "fft", []int{2, 4, 8, 16, 32})
 		if err != nil {
 			return err
 		}
@@ -249,7 +249,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	}
 	if sel("punch") {
 		section("punch")
-		r, err := exp.PunchSweep(topology.NewMesh(rc.meshW, rc.meshH), "fft", rc.horizon, []int{0, 1, 2, 4, -1})
+		r, err := exp.PunchSweep(suite, "fft", []int{0, 1, 2, 4, -1})
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	}
 	if sel("globaldvfs") {
 		section("globaldvfs")
-		r, err := exp.GlobalDVFS(topology.NewMesh(rc.meshW, rc.meshH), rc.horizon, nil)
+		r, err := exp.GlobalDVFS(suite, nil)
 		if err != nil {
 			return err
 		}
@@ -281,13 +281,12 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	}
 	if sel("closedloop") {
 		section("closedloop")
-		topo := topology.NewMesh(rc.meshW, rc.meshH)
-		r, err := exp.ClosedLoop(topo, mcsim.DefaultSystem(topo))
+		r, err := exp.ClosedLoop(suite, mcsim.DefaultSystem(suite.Topo))
 		if err != nil {
 			return err
 		}
 		r.Write(out)
-		sw, err := exp.ClosedLoopSweep(topo, nil, 100_000)
+		sw, err := exp.ClosedLoopSweep(suite, nil, 100_000)
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,10 @@
 //	res, err := suite.RunBenchmark(core.KindDozzNoC, "fft", 1)
 //
 // The suite caches generated traces, reactive-run datasets and trained
-// models, so repeated experiment functions share work. Jobs made of many
-// independent simulations (TrainAll, HarvestParallel, Compare,
-// RunBenchmarks) run them on the suite's pool.
+// models, so repeated experiment functions share work. Every simulation
+// it runs is built by Config; jobs made of many independent simulations
+// (TrainAll, HarvestParallel, Compare, RunBenchmarks, RunConfigs) run
+// them on the suite's pool.
 package core
 
 import (
@@ -350,7 +351,8 @@ func (s *Suite) harvest(key datasetKey, shards int) (*ml.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.config(s.reactiveSpec(key.kind), t, shards, s.Opts.Obs)
+	cfg := s.Config(s.reactiveSpec(key.kind), t)
+	cfg.Shards = shards
 	cfg.CollectDataset = true
 	res, err := sim.Run(cfg)
 	if err != nil {
@@ -464,12 +466,6 @@ func (s *Suite) SetTrainedModel(kind ModelKind, m *ml.Ridge) {
 	s.trained[kind] = &ml.TrainReport{Best: m}
 }
 
-// RunTrace runs one model kind over an explicit trace, observed by the
-// suite-wide Options.Obs (if any).
-func (s *Suite) RunTrace(kind ModelKind, t *traffic.Trace) (*sim.Result, error) {
-	return s.RunTraceObs(kind, t, s.Opts.Obs)
-}
-
 // RunTraceObs runs one model kind over an explicit trace with an
 // explicit per-run observer (which may be nil). Unlike the suite-wide
 // Options.Obs — which binds one obs.Metrics to every run and therefore
@@ -481,13 +477,15 @@ func (s *Suite) RunTraceObs(kind ModelKind, t *traffic.Trace, o *obs.Observer) (
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(s.config(spec, t, s.Opts.Shards, o))
+	cfg := s.Config(spec, t)
+	cfg.Obs = o
+	return sim.Run(cfg)
 }
 
-// config is the sim.Config of every simulation the suite runs: spec over
-// t with the suite's engine options, sweeping with the given shard count
-// and observed by o (which may be nil).
-func (s *Suite) config(spec policy.Spec, t *traffic.Trace, shards int, o *obs.Observer) sim.Config {
+// Config is the sim.Config of every simulation the suite runs: spec over
+// t (nil for a closed-loop run, whose caller sets Workload) with the
+// suite's engine options, shard count and observer.
+func (s *Suite) Config(spec policy.Spec, t *traffic.Trace) sim.Config {
 	return sim.Config{
 		Topo:           s.Topo,
 		Spec:           spec,
@@ -497,22 +495,18 @@ func (s *Suite) config(spec policy.Spec, t *traffic.Trace, shards int, o *obs.Ob
 		Pipeline:       s.Opts.Pipeline,
 		LinkTicks:      s.Opts.LinkTicks,
 		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         shards,
+		Shards:         s.Opts.Shards,
 		ShardMinActive: s.Opts.ShardMinActive,
 		PunchHops:      s.Opts.PunchHops,
 		NoPathPunch:    s.Opts.NoPathPunch,
-		Obs:            o,
+		Obs:            s.Opts.Obs,
 	}
 }
 
 // RunBenchmark runs one model kind over a named benchmark, compressed by
 // factor (1 = uncompressed).
 func (s *Suite) RunBenchmark(kind ModelKind, bench string, factor int64) (*sim.Result, error) {
-	t, err := s.TraceCompressed(bench, factor)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunTrace(kind, t)
+	return s.RunBenchmarkObs(kind, bench, factor, s.Opts.Obs)
 }
 
 // RunBenchmarkObs is RunBenchmark with an explicit per-run observer (see
@@ -562,19 +556,33 @@ type Run struct {
 // results in run order. Each result equals what RunBenchmark returns for
 // the same run, up to the scheduling diagnostics.
 func (s *Suite) RunBenchmarks(runs []Run) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(runs))
-	err := s.forEach(len(runs), func(i, shards int) error {
-		r := runs[i]
+	cfgs := make([]sim.Config, len(runs))
+	for i, r := range runs {
 		spec, err := s.Spec(r.Kind) // fresh selector state per run
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t, err := s.TraceCompressed(r.Bench, r.Factor)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if out[i], err = sim.Run(s.config(spec, t, shards, s.Opts.Obs)); err != nil {
-			return fmt.Errorf("core: %v on %s: %w", r.Kind, r.Bench, err)
+		cfgs[i] = s.Config(spec, t)
+	}
+	return s.RunConfigs(cfgs)
+}
+
+// RunConfigs runs every config, each built by Config, on the suite's pool
+// and returns the results in config order. The pool sets each run's shard
+// count (see pool); a result equals a direct sim.Run of its config up to
+// the scheduling diagnostics.
+func (s *Suite) RunConfigs(cfgs []sim.Config) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(cfgs))
+	err := s.forEach(len(cfgs), func(i, shards int) error {
+		cfg := cfgs[i]
+		cfg.Shards = shards
+		var err error
+		if out[i], err = sim.Run(cfg); err != nil {
+			return fmt.Errorf("core: %s: %w", cfg.Spec.Name, err)
 		}
 		return nil
 	})
@@ -601,34 +609,42 @@ type Relative struct {
 
 // Relatives normalizes every model in a comparison to its baseline.
 func (c *Comparison) Relatives() []Relative {
-	base := c.Results[KindBaseline]
 	out := make([]Relative, 0, len(AllKinds))
 	for _, k := range AllKinds {
-		r := c.Results[k]
-		rel := Relative{Kind: k, OffFraction: r.OffFraction}
-		if base.Throughput > 0 {
-			rel.ThroughputRatio = r.Throughput / base.Throughput
-		}
-		if base.AvgLatencyTicks > 0 {
-			rel.LatencyRatio = r.AvgLatencyTicks / base.AvgLatencyTicks
-		}
-		if base.StaticJ > 0 {
-			rel.StaticNorm = r.StaticJ / base.StaticJ
-			rel.StaticSavings = 1 - rel.StaticNorm
-		}
-		if base.DynamicJ > 0 {
-			rel.DynamicNorm = r.DynamicJ / base.DynamicJ
-			rel.DynamicSavings = 1 - rel.DynamicNorm
-		}
-		if e := base.EDP(); e > 0 {
-			rel.EDPNorm = r.EDP() / e
-		}
-		if r.Policy.Wakes > 0 {
-			rel.BreakevenMetFrac = float64(r.Policy.BreakevenMet) / float64(r.Policy.Wakes)
-		}
+		rel := Relate(c.Results[KindBaseline], c.Results[k])
+		rel.Kind = k
 		out = append(out, rel)
 	}
 	return out
+}
+
+// Relate compares r against base, a run over the same workload: the one
+// formula behind every savings and ratio the experiments report. A
+// zero-valued base quantity leaves the matching ratio at 0. The result's
+// Kind is left for the caller to set.
+func Relate(base, r *sim.Result) Relative {
+	rel := Relative{OffFraction: r.OffFraction}
+	if base.Throughput > 0 {
+		rel.ThroughputRatio = r.Throughput / base.Throughput
+	}
+	if base.AvgLatencyTicks > 0 {
+		rel.LatencyRatio = r.AvgLatencyTicks / base.AvgLatencyTicks
+	}
+	if base.StaticJ > 0 {
+		rel.StaticNorm = r.StaticJ / base.StaticJ
+		rel.StaticSavings = 1 - rel.StaticNorm
+	}
+	if base.DynamicJ > 0 {
+		rel.DynamicNorm = r.DynamicJ / base.DynamicJ
+		rel.DynamicSavings = 1 - rel.DynamicNorm
+	}
+	if e := base.EDP(); e > 0 {
+		rel.EDPNorm = r.EDP() / e
+	}
+	if r.Policy.Wakes > 0 {
+		rel.BreakevenMetFrac = float64(r.Policy.BreakevenMet) / float64(r.Policy.Wakes)
+	}
+	return rel
 }
 
 // pool returns how the suite's pool runs its simulations: width of them

@@ -8,14 +8,14 @@ import (
 	"repro/internal/ml"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out. They use
 // the reactive selector (no trained model needed), since the knobs under
 // study — T-Idle, the wake-punch horizon — act on the power-gating loop,
-// not the predictor.
+// not the predictor. Each runs the suite's configs over the suite's
+// traces on the suite's pool.
 
 // TIdleRow is the outcome of one T-Idle setting.
 type TIdleRow struct {
@@ -33,47 +33,52 @@ type TIdleSweepResult struct {
 	Rows  []TIdleRow
 }
 
-// TIdleSweep reruns the reactive DozzNoC model on one benchmark with
-// several T-Idle values (the paper adopts 4 from Catnap and argues small
-// values cause congestion/breakeven misses while large ones forgo
-// savings).
-func TIdleSweep(topo topology.Topology, bench string, horizon int64, tidles []int) (*TIdleSweepResult, error) {
-	p, ok := traffic.ProfileByName(bench)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown benchmark %q", bench)
+// TIdleSweep reruns the reactive DozzNoC model on one of the suite's
+// benchmarks with several T-Idle values (the paper adopts 4 from Catnap
+// and argues small values cause congestion/breakeven misses while large
+// ones forgo savings).
+func TIdleSweep(s *core.Suite, bench string, tidles []int) (*TIdleSweepResult, error) {
+	tr, err := s.Trace(bench)
+	if err != nil {
+		return nil, err
 	}
-	g := traffic.Generator{Topo: topo, Horizon: horizon, Seed: 1}
-	tr := g.Generate(p)
-
-	base, err := sim.Run(sim.Config{Topo: topo, Spec: policy.Baseline(), Trace: tr})
+	var cfgs []sim.Config
+	for _, ti := range tidles {
+		spec := policy.DozzNoC(policy.ReactiveSelector{})
+		spec.TIdle = ti
+		cfgs = append(cfgs, s.Config(spec, tr))
+	}
+	res, rels, err := vsBaseline(s, tr, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	out := &TIdleSweepResult{Bench: bench}
-	for _, ti := range tidles {
-		spec := policy.DozzNoC(policy.ReactiveSelector{})
-		spec.TIdle = ti
-		res, err := sim.Run(sim.Config{Topo: topo, Spec: spec, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		row := TIdleRow{
+	for i, ti := range tidles {
+		out.Rows = append(out.Rows, TIdleRow{
 			TIdle:          ti,
-			Gatings:        res.Policy.Gatings,
-			WakeupFraction: res.WakeupFraction,
-		}
-		if base.StaticJ > 0 {
-			row.StaticSavings = 1 - res.StaticJ/base.StaticJ
-		}
-		if base.AvgLatencyTicks > 0 {
-			row.LatencyRatio = res.AvgLatencyTicks / base.AvgLatencyTicks
-		}
-		if res.Policy.Wakes > 0 {
-			row.BreakevenFrac = float64(res.Policy.BreakevenMet) / float64(res.Policy.Wakes)
-		}
-		out.Rows = append(out.Rows, row)
+			StaticSavings:  rels[i].StaticSavings,
+			LatencyRatio:   rels[i].LatencyRatio,
+			Gatings:        res[i].Policy.Gatings,
+			BreakevenFrac:  rels[i].BreakevenMetFrac,
+			WakeupFraction: res[i].WakeupFraction,
+		})
 	}
 	return out, nil
+}
+
+// vsBaseline runs cfgs and a baseline over tr in one pool call and
+// returns the results of cfgs, each also related to the baseline's.
+func vsBaseline(s *core.Suite, tr *traffic.Trace, cfgs []sim.Config) ([]*sim.Result, []core.Relative, error) {
+	res, err := s.RunConfigs(append(cfgs, s.Config(policy.Baseline(), tr)))
+	if err != nil {
+		return nil, nil, err
+	}
+	base, res := res[len(cfgs)], res[:len(cfgs)]
+	rels := make([]core.Relative, len(res))
+	for i, r := range res {
+		rels[i] = core.Relate(base, r)
+	}
+	return res, rels, nil
 }
 
 // Write renders the sweep.
@@ -105,41 +110,31 @@ type PunchSweepResult struct {
 // PunchSweep measures how far ahead wake punches must travel: none (heads
 // wake the next hop only), k hops, or the whole XY path (Power Punch
 // style). Less punching saves slightly more static power but serializes
-// wakeups into packet latency.
-func PunchSweep(topo topology.Topology, bench string, horizon int64, hops []int) (*PunchSweepResult, error) {
-	p, ok := traffic.ProfileByName(bench)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown benchmark %q", bench)
+// wakeups into packet latency. Each setting overrides only the punch
+// fields of the suite's config.
+func PunchSweep(s *core.Suite, bench string, hops []int) (*PunchSweepResult, error) {
+	tr, err := s.Trace(bench)
+	if err != nil {
+		return nil, err
 	}
-	g := traffic.Generator{Topo: topo, Horizon: horizon, Seed: 1}
-	tr := g.Generate(p)
-	base, err := sim.Run(sim.Config{Topo: topo, Spec: policy.Baseline(), Trace: tr})
+	var cfgs []sim.Config
+	for _, h := range hops {
+		cfg := s.Config(policy.PowerGated(), tr)
+		cfg.PunchHops, cfg.NoPathPunch = h, h == 0
+		cfgs = append(cfgs, cfg)
+	}
+	_, rels, err := vsBaseline(s, tr, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	out := &PunchSweepResult{Bench: bench}
-	for _, h := range hops {
-		cfg := sim.Config{Topo: topo, Spec: policy.PowerGated(), Trace: tr}
-		if h == 0 {
-			cfg.NoPathPunch = true
-		} else {
-			cfg.PunchHops = h
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		row := PunchRow{PunchHops: h}
-		if base.StaticJ > 0 {
-			row.StaticSavings = 1 - res.StaticJ/base.StaticJ
-		}
-		if base.AvgLatencyTicks > 0 {
-			row.LatencyRatio = res.AvgLatencyTicks / base.AvgLatencyTicks
-		}
-		if base.Throughput > 0 {
-			row.TputRatio = res.Throughput / base.Throughput
-		}
-		out.Rows = append(out.Rows, row)
+	for i, h := range hops {
+		out.Rows = append(out.Rows, PunchRow{
+			PunchHops:     h,
+			StaticSavings: rels[i].StaticSavings,
+			LatencyRatio:  rels[i].LatencyRatio,
+			TputRatio:     rels[i].ThroughputRatio,
+		})
 	}
 	return out, nil
 }
@@ -171,11 +166,7 @@ type FeatureCountResult struct{ Rows []FeatureCountRow }
 // subsets and reports validation MSE, test mode-selection accuracy and
 // the per-label energy cost of each subset.
 func FeatureCountAblation(s *core.Suite) (*FeatureCountResult, error) {
-	train, err := s.MergedDataset(core.KindDozzNoC, traffic.Train)
-	if err != nil {
-		return nil, err
-	}
-	val, err := s.MergedDataset(core.KindDozzNoC, traffic.Validation)
+	train, val, err := dozzDatasets(s)
 	if err != nil {
 		return nil, err
 	}
@@ -188,32 +179,59 @@ func FeatureCountAblation(s *core.Suite) (*FeatureCountResult, error) {
 		{"ibu+sent+recv", []int{0, 1, 2, 4}},
 		{"all-5", []int{0, 1, 2, 3, 4}},
 	}
-	modeOf := func(v float64) int { return int(policy.ModeForIBU(v)) }
 	out := &FeatureCountResult{}
 	for _, sub := range subsets {
-		rep, err := ml.TuneLambda(train.Columns(sub.cols...), val.Columns(sub.cols...), s.Opts.Lambdas)
+		rep, _, acc, err := tuneSubset(s, train, val, sub.cols)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feature ablation %s: %w", sub.label, err)
-		}
-		acc, n := 0.0, 0
-		for _, bench := range TestBenchNames() {
-			ds, err := s.Dataset(core.KindDozzNoC, bench)
-			if err != nil {
-				return nil, err
-			}
-			c := ds.Columns(sub.cols...)
-			acc += ml.ModeAccuracy(rep.Best.PredictAll(c.X), c.Y, modeOf)
-			n++
 		}
 		out.Rows = append(out.Rows, FeatureCountRow{
 			Label:    sub.label,
 			Features: len(sub.cols),
 			ValMSE:   rep.BestVal.ValMSE,
-			TestAcc:  acc / float64(n),
+			TestAcc:  acc,
 			EnergyPJ: ml.LabelOverhead(len(sub.cols)).EnergyPJ,
 		})
 	}
 	return out, nil
+}
+
+// dozzDatasets harvests DozzNoC's reactive datasets over the training,
+// validation and test traces on the suite's pool and returns the merged
+// training and validation sets.
+func dozzDatasets(s *core.Suite) (train, val *ml.Dataset, err error) {
+	dozz := []core.ModelKind{core.KindDozzNoC}
+	if err := s.HarvestParallel(dozz, benchNames(traffic.Train, traffic.Validation, traffic.Test)); err != nil {
+		return nil, nil, err
+	}
+	if train, err = s.MergedDataset(core.KindDozzNoC, traffic.Train); err != nil {
+		return nil, nil, err
+	}
+	if val, err = s.MergedDataset(core.KindDozzNoC, traffic.Validation); err != nil {
+		return nil, nil, err
+	}
+	return train, val, nil
+}
+
+// tuneSubset tunes a DozzNoC ridge model on the given feature columns of
+// the training and validation sets and scores its mode-selection
+// accuracy on each test benchmark, in TestBenchNames order, and on
+// average.
+func tuneSubset(s *core.Suite, train, val *ml.Dataset, cols []int) (rep *ml.TrainReport, accs []float64, mean float64, err error) {
+	if rep, err = ml.TuneLambda(train.Columns(cols...), val.Columns(cols...), s.Opts.Lambdas); err != nil {
+		return nil, nil, 0, err
+	}
+	modeOf := func(v float64) int { return int(policy.ModeForIBU(v)) }
+	for _, bench := range TestBenchNames() {
+		ds, err := s.Dataset(core.KindDozzNoC, bench)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		c := ds.Columns(cols...)
+		acc := ml.ModeAccuracy(rep.Best.PredictAll(c.X), c.Y, modeOf)
+		accs, mean = append(accs, acc), mean+acc
+	}
+	return rep, accs, mean / float64(len(accs)), nil
 }
 
 // Write renders the ablation.
@@ -247,46 +265,37 @@ type GlobalDVFSResult struct{ Rows []GlobalDVFSRow }
 // paper's argument that per-router voltage domains (enabled by the
 // per-router SIMO/LDO supplies) save energy that global coordination
 // wastes on idle regions.
-func GlobalDVFS(topo topology.Topology, horizon int64, benches []string) (*GlobalDVFSResult, error) {
+func GlobalDVFS(s *core.Suite, benches []string) (*GlobalDVFSResult, error) {
 	if len(benches) == 0 {
 		benches = TestBenchNames()
 	}
-	out := &GlobalDVFSResult{}
+	var cfgs []sim.Config
 	for _, bench := range benches {
-		p, ok := traffic.ProfileByName(bench)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown benchmark %q", bench)
-		}
-		g := traffic.Generator{Topo: topo, Horizon: horizon, Seed: 1}
-		tr := g.Generate(p)
-		base, err := sim.Run(sim.Config{Topo: topo, Spec: policy.Baseline(), Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		local, err := sim.Run(sim.Config{Topo: topo, Spec: policy.DVFSML(policy.ReactiveSelector{}), Trace: tr})
+		tr, err := s.Trace(bench)
 		if err != nil {
 			return nil, err
 		}
 		gspec := policy.DVFSML(policy.NewGlobalSelector(policy.ReactiveSelector{}))
 		gspec.Name = "DVFS-global"
-		global, err := sim.Run(sim.Config{Topo: topo, Spec: gspec, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		row := GlobalDVFSRow{Bench: bench}
-		if base.StaticJ > 0 {
-			row.LocalStatic = 1 - local.StaticJ/base.StaticJ
-			row.GlobalStatic = 1 - global.StaticJ/base.StaticJ
-		}
-		if base.DynamicJ > 0 {
-			row.LocalDynamic = 1 - local.DynamicJ/base.DynamicJ
-			row.GlobalDynamic = 1 - global.DynamicJ/base.DynamicJ
-		}
-		if base.AvgLatencyTicks > 0 {
-			row.LocalLatRatio = local.AvgLatencyTicks / base.AvgLatencyTicks
-			row.GlobalLatRatio = global.AvgLatencyTicks / base.AvgLatencyTicks
-		}
-		out.Rows = append(out.Rows, row)
+		cfgs = append(cfgs, s.Config(policy.Baseline(), tr),
+			s.Config(policy.DVFSML(policy.ReactiveSelector{}), tr), s.Config(gspec, tr))
+	}
+	res, err := s.RunConfigs(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := &GlobalDVFSResult{}
+	for i, bench := range benches {
+		local, global := core.Relate(res[3*i], res[3*i+1]), core.Relate(res[3*i], res[3*i+2])
+		out.Rows = append(out.Rows, GlobalDVFSRow{
+			Bench:          bench,
+			LocalStatic:    local.StaticSavings,
+			GlobalStatic:   global.StaticSavings,
+			LocalDynamic:   local.DynamicSavings,
+			GlobalDynamic:  global.DynamicSavings,
+			LocalLatRatio:  local.LatencyRatio,
+			GlobalLatRatio: global.LatencyRatio,
+		})
 	}
 	return out, nil
 }

@@ -5,12 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mcsim"
 	"repro/internal/topology"
 )
 
+// ablationSuite is a 4x4 suite at the default seed whose traces span
+// horizon ticks.
+func ablationSuite(horizon int64) *core.Suite {
+	return core.NewSuite(topology.NewMesh(4, 4), core.Options{Horizon: horizon})
+}
+
 func TestTIdleSweep(t *testing.T) {
-	r, err := TIdleSweep(topology.NewMesh(4, 4), "fft", 6000, []int{2, 8, 64})
+	r, err := TIdleSweep(ablationSuite(6000), "fft", []int{2, 8, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +43,13 @@ func TestTIdleSweep(t *testing.T) {
 }
 
 func TestTIdleSweepUnknownBench(t *testing.T) {
-	if _, err := TIdleSweep(topology.NewMesh(4, 4), "bogus", 1000, []int{4}); err == nil {
+	if _, err := TIdleSweep(ablationSuite(1000), "bogus", []int{4}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestPunchSweep(t *testing.T) {
-	r, err := PunchSweep(topology.NewMesh(4, 4), "fft", 6000, []int{0, 1, -1})
+	r, err := PunchSweep(ablationSuite(6000), "fft", []int{0, 1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +131,10 @@ func TestClosedLoopSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closed loop in -short mode")
 	}
-	topo := topology.NewMesh(4, 4)
-	params := mcsim.DefaultSystem(topo)
+	s := ablationSuite(0)
+	params := mcsim.DefaultSystem(s.Topo)
 	params.Core.Instructions = 20_000
-	r, err := ClosedLoop(topo, params)
+	r, err := ClosedLoop(s, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +163,7 @@ func TestClosedLoopSmall(t *testing.T) {
 }
 
 func TestGlobalDVFS(t *testing.T) {
-	r, err := GlobalDVFS(topology.NewMesh(4, 4), 8000, []string{"fft", "lu"})
+	r, err := GlobalDVFS(ablationSuite(8000), []string{"fft", "lu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +192,7 @@ func TestClosedLoopSweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closed-loop sweep in -short mode")
 	}
-	topo := topology.NewMesh(4, 4)
-	r, err := ClosedLoopSweep(topo, []string{"fft", "lu"}, 15_000)
+	r, err := ClosedLoopSweep(ablationSuite(0), []string{"fft", "lu"}, 15_000)
 	if err != nil {
 		t.Fatal(err)
 	}

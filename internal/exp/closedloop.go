@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/mcsim"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Closed-loop full-system experiment: instead of replaying traces, run
@@ -33,46 +33,65 @@ type ClosedLoopResult struct {
 	Rows []ClosedLoopRow
 }
 
-// ClosedLoop runs the five models over the same multicore workload.
-func ClosedLoop(topo topology.Topology, params mcsim.SystemParams) (*ClosedLoopResult, error) {
-	specs := []policy.Spec{
-		policy.Baseline(),
-		policy.PowerGated(),
-		policy.DVFSML(policy.ReactiveSelector{}),
-		policy.DozzNoC(policy.ReactiveSelector{}),
-		policy.MLTurbo(policy.ReactiveSelector{}, topo.NumRouters()),
+// ClosedLoop runs the five models over the same multicore workload on
+// the suite's topology and pool.
+func ClosedLoop(s *core.Suite, params mcsim.SystemParams) (*ClosedLoopResult, error) {
+	out, err := closedLoops(s, params)
+	if err != nil {
+		return nil, err
 	}
-	out := &ClosedLoopResult{}
-	var base *sim.Result
-	for _, spec := range specs {
-		w, err := mcsim.New(params)
-		if err != nil {
-			return nil, err
+	return out[0], nil
+}
+
+// closedLoops runs the five models over a fresh mcsim system built from
+// each of params, all in one pool call, and returns one comparison per
+// params. The suite's seed shifts every workload's seed, so the default
+// seed 1 runs params as given.
+func closedLoops(s *core.Suite, params ...mcsim.SystemParams) ([]*ClosedLoopResult, error) {
+	var cfgs []sim.Config
+	var systems []*mcsim.System
+	for _, p := range params {
+		p.Seed += s.Opts.Seed - 1
+		for _, spec := range []policy.Spec{
+			policy.Baseline(),
+			policy.PowerGated(),
+			policy.DVFSML(policy.ReactiveSelector{}),
+			policy.DozzNoC(policy.ReactiveSelector{}),
+			policy.MLTurbo(policy.ReactiveSelector{}, s.Topo.NumRouters()),
+		} {
+			w, err := mcsim.New(p)
+			if err != nil {
+				return nil, err
+			}
+			cfg := s.Config(spec, nil)
+			cfg.Workload = w
+			cfgs, systems = append(cfgs, cfg), append(systems, w)
 		}
-		res, err := sim.Run(sim.Config{Topo: topo, Spec: spec, Workload: w})
-		if err != nil {
-			return nil, fmt.Errorf("exp: closed loop %s: %w", spec.Name, err)
+	}
+	res, err := s.RunConfigs(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	models := len(cfgs) / len(params)
+	out := make([]*ClosedLoopResult, len(params))
+	for i, r := range res {
+		if !r.Drained {
+			return nil, fmt.Errorf("exp: closed loop %s did not finish", r.Model)
 		}
-		if !res.Drained {
-			return nil, fmt.Errorf("exp: closed loop %s did not finish", spec.Name)
+		base := res[i-i%models]
+		rel := core.Relate(base, r)
+		if out[i/models] == nil {
+			out[i/models] = &ClosedLoopResult{}
 		}
-		if base == nil {
-			base = res
-		}
-		row := ClosedLoopRow{
-			Model:        res.Model,
-			Ticks:        res.Ticks,
-			Slowdown:     float64(res.Ticks) / float64(base.Ticks),
-			OffFraction:  res.OffFraction,
-			StalledTicks: w.Stats().StalledTicks,
-		}
-		if base.StaticJ > 0 {
-			row.StaticSavings = 1 - res.StaticJ/base.StaticJ
-		}
-		if base.DynamicJ > 0 {
-			row.DynamicSavings = 1 - res.DynamicJ/base.DynamicJ
-		}
-		out.Rows = append(out.Rows, row)
+		out[i/models].Rows = append(out[i/models].Rows, ClosedLoopRow{
+			Model:          r.Model,
+			Ticks:          r.Ticks,
+			Slowdown:       float64(r.Ticks) / float64(base.Ticks),
+			StaticSavings:  rel.StaticSavings,
+			DynamicSavings: rel.DynamicSavings,
+			OffFraction:    r.OffFraction,
+			StalledTicks:   systems[i].Stats().StalledTicks,
+		})
 	}
 	return out, nil
 }
@@ -109,49 +128,41 @@ type ClosedLoopSweepResult struct {
 // ClosedLoopSweep runs the closed-loop comparison on mcsim configurations
 // derived from each named benchmark profile (defaults: the five test
 // benchmarks) and averages the outcomes — the closed-loop analogue of the
-// §IV-B2 headline protocol.
-func ClosedLoopSweep(topo topology.Topology, benches []string, instructions int64) (*ClosedLoopSweepResult, error) {
+// §IV-B2 headline protocol. Every model × benchmark run goes to the
+// suite's pool at once.
+func ClosedLoopSweep(s *core.Suite, benches []string, instructions int64) (*ClosedLoopSweepResult, error) {
 	if len(benches) == 0 {
 		benches = TestBenchNames()
 	}
 	if instructions <= 0 {
 		instructions = 100_000
 	}
-	acc := map[string]*ClosedLoopSweepRow{}
-	var order []string
-	for _, bench := range benches {
-		params, err := mcsim.ParamsForBenchmark(topo, bench, instructions)
-		if err != nil {
+	params := make([]mcsim.SystemParams, len(benches))
+	for i, bench := range benches {
+		var err error
+		if params[i], err = mcsim.ParamsForBenchmark(s.Topo, bench, instructions); err != nil {
 			return nil, err
 		}
-		res, err := ClosedLoop(topo, params)
-		if err != nil {
-			return nil, fmt.Errorf("exp: closed-loop sweep on %s: %w", bench, err)
-		}
-		for _, row := range res.Rows {
-			a, ok := acc[row.Model]
-			if !ok {
-				a = &ClosedLoopSweepRow{Model: row.Model}
-				acc[row.Model] = a
-				order = append(order, row.Model)
-			}
-			a.AvgSlowdown += row.Slowdown
-			a.AvgStaticSav += row.StaticSavings
-			a.AvgDynamicSav += row.DynamicSavings
-			a.AvgOffFraction += row.OffFraction
-		}
+	}
+	results, err := closedLoops(s, params...)
+	if err != nil {
+		return nil, err
 	}
 	out := &ClosedLoopSweepResult{Benches: benches}
 	n := float64(len(benches))
-	for _, m := range order {
-		a := acc[m]
-		out.Rows = append(out.Rows, ClosedLoopSweepRow{
-			Model:          a.Model,
-			AvgSlowdown:    a.AvgSlowdown / n,
-			AvgStaticSav:   a.AvgStaticSav / n,
-			AvgDynamicSav:  a.AvgDynamicSav / n,
-			AvgOffFraction: a.AvgOffFraction / n,
-		})
+	for m, row := range results[0].Rows {
+		a := ClosedLoopSweepRow{Model: row.Model}
+		for _, res := range results {
+			a.AvgSlowdown += res.Rows[m].Slowdown
+			a.AvgStaticSav += res.Rows[m].StaticSavings
+			a.AvgDynamicSav += res.Rows[m].DynamicSavings
+			a.AvgOffFraction += res.Rows[m].OffFraction
+		}
+		a.AvgSlowdown /= n
+		a.AvgStaticSav /= n
+		a.AvgDynamicSav /= n
+		a.AvgOffFraction /= n
+		out.Rows = append(out.Rows, a)
 	}
 	return out, nil
 }

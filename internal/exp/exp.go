@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/dsent"
 	"repro/internal/ml"
 	"repro/internal/power"
@@ -24,10 +23,16 @@ import (
 const DefaultCompression = 2
 
 // TestBenchNames returns the five test benchmarks in order.
-func TestBenchNames() []string {
+func TestBenchNames() []string { return benchNames(traffic.Test) }
+
+// benchNames lists the benchmarks of the given splits, split by split in
+// profile order.
+func benchNames(splits ...traffic.Split) []string {
 	var names []string
-	for _, p := range traffic.ProfilesBySplit(traffic.Test) {
-		names = append(names, p.Name)
+	for _, split := range splits {
+		for _, p := range traffic.ProfilesBySplit(split) {
+			names = append(names, p.Name)
+		}
 	}
 	return names
 }
@@ -148,11 +153,6 @@ func (o OverheadResult) Write(w io.Writer) {
 		fmt.Fprintf(w, "%-10d %-10s %-12s %d-%d cycles\n",
 			ov.Features, fmt.Sprintf("%.1fpJ", ov.EnergyPJ), fmt.Sprintf("%.3fmm2", ov.AreaMM2), ov.CyclesMin, ov.CyclesMax)
 	}
-}
-
-// requireTrained makes sure the suite's ML models exist.
-func requireTrained(s *core.Suite) error {
-	return s.TrainAll()
 }
 
 // ---------------------------------------------------------------------

@@ -39,7 +39,8 @@ type FeatureSet41Result struct {
 }
 
 // FeatureSet41 runs the full DozzNoC-41 vs DozzNoC-5 comparison on the
-// suite's topology (uncompressed traces).
+// suite's topology (uncompressed traces). Both arms run the suite's
+// config; the 41-feature arm only swaps in the extended extractor.
 func FeatureSet41(s *core.Suite) (*FeatureSet41Result, error) {
 	// The reduced model comes from the standard pipeline.
 	rep5, err := s.Train(core.KindDozzNoC)
@@ -49,102 +50,78 @@ func FeatureSet41(s *core.Suite) (*FeatureSet41Result, error) {
 
 	// The extended model gets its own harvest with the 41-feature
 	// extractor over the same train/validation protocol.
-	harvest := func(split traffic.Split) (*ml.Dataset, error) {
-		out := ml.NewDataset(features.ExtendedNames)
-		for _, p := range traffic.ProfilesBySplit(split) {
-			tr, err := s.Trace(p.Name)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(sim.Config{
-				Topo:           s.Topo,
-				Spec:           reactiveDozzNoC(),
-				Trace:          tr,
-				VCs:            s.Opts.VCs,
-				Depth:          s.Opts.Depth,
-				Pipeline:       s.Opts.Pipeline,
-				EpochTicks:     s.Opts.EpochTicks,
-				CollectDataset: true,
-				Extractor:      features.NewExtendedExtractor(s.Topo),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("exp: 41-feature harvest on %s: %w", p.Name, err)
-			}
-			out.Merge(res.Dataset)
+	var cfgs []sim.Config
+	for _, name := range benchNames(traffic.Train, traffic.Validation) {
+		tr, err := s.Trace(name)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		spec := policy.DozzNoC(policy.ReactiveSelector{})
+		spec.Name = "DozzNoC(reactive,41)"
+		cfg := extended(s, spec, tr)
+		cfg.CollectDataset = true
+		cfgs = append(cfgs, cfg)
 	}
-	train41, err := harvest(traffic.Train)
+	res, err := s.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	val41, err := harvest(traffic.Validation)
-	if err != nil {
-		return nil, err
+	train41, val41 := ml.NewDataset(features.ExtendedNames), ml.NewDataset(features.ExtendedNames)
+	nTrain := len(traffic.ProfilesBySplit(traffic.Train))
+	for i, r := range res {
+		if i < nTrain {
+			train41.Merge(r.Dataset)
+		} else {
+			val41.Merge(r.Dataset)
+		}
 	}
 	rep41, err := ml.TuneLambda(train41, val41, s.Opts.Lambdas)
 	if err != nil {
 		return nil, fmt.Errorf("exp: training DozzNoC-41: %w", err)
 	}
 
-	out := &FeatureSet41Result{ValMSE5: rep5.BestVal.ValMSE, ValMSE41: rep41.BestVal.ValMSE}
+	// Baseline, DozzNoC-5 and DozzNoC-41 per test benchmark, in one pool call.
+	var runs []sim.Config
 	for _, bench := range TestBenchNames() {
 		tr, err := s.Trace(bench)
 		if err != nil {
 			return nil, err
 		}
-		base, err := s.RunBenchmark(core.KindBaseline, bench, 1)
-		if err != nil {
-			return nil, err
-		}
-		r5, err := s.RunBenchmark(core.KindDozzNoC, bench, 1)
+		spec5, err := s.Spec(core.KindDozzNoC)
 		if err != nil {
 			return nil, err
 		}
 		spec41 := policy.DozzNoC(policy.ProactiveSelector{Model: rep41.Best, ModelName: "DozzNoC-41"})
 		spec41.Name = "DozzNoC-41"
-		r41, err := sim.Run(sim.Config{
-			Topo:       s.Topo,
-			Spec:       spec41,
-			Trace:      tr,
-			VCs:        s.Opts.VCs,
-			Depth:      s.Opts.Depth,
-			Pipeline:   s.Opts.Pipeline,
-			EpochTicks: s.Opts.EpochTicks,
-			Extractor:  features.NewExtendedExtractor(s.Topo),
+		runs = append(runs, s.Config(policy.Baseline(), tr), s.Config(spec5, tr), extended(s, spec41, tr))
+	}
+	if res, err = s.RunConfigs(runs); err != nil {
+		return nil, err
+	}
+	out := &FeatureSet41Result{ValMSE5: rep5.BestVal.ValMSE, ValMSE41: rep41.BestVal.ValMSE}
+	for i, bench := range TestBenchNames() {
+		base, r5, r41 := res[3*i], res[3*i+1], res[3*i+2]
+		s5, s41, vs5 := core.Relate(base, r5), core.Relate(base, r41), core.Relate(r5, r41)
+		out.Rows = append(out.Rows, FeatureSet41Row{
+			Bench:        bench,
+			Static5:      s5.StaticSavings,
+			Static41:     s41.StaticSavings,
+			Dynamic5:     s5.DynamicSavings,
+			Dynamic41:    s41.DynamicSavings,
+			TputRatio:    vs5.ThroughputRatio,
+			LatencyRatio: vs5.LatencyRatio,
+			EDPRatio:     vs5.EDPNorm,
 		})
-		if err != nil {
-			return nil, err
-		}
-		row := FeatureSet41Row{Bench: bench}
-		if base.StaticJ > 0 {
-			row.Static5 = 1 - r5.StaticJ/base.StaticJ
-			row.Static41 = 1 - r41.StaticJ/base.StaticJ
-		}
-		if base.DynamicJ > 0 {
-			row.Dynamic5 = 1 - r5.DynamicJ/base.DynamicJ
-			row.Dynamic41 = 1 - r41.DynamicJ/base.DynamicJ
-		}
-		if r5.Throughput > 0 {
-			row.TputRatio = r41.Throughput / r5.Throughput
-		}
-		if r5.AvgLatencyTicks > 0 {
-			row.LatencyRatio = r41.AvgLatencyTicks / r5.AvgLatencyTicks
-		}
-		if e5 := r5.EDP(); e5 > 0 {
-			row.EDPRatio = r41.EDP() / e5
-		}
-		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
 
-// reactiveDozzNoC builds a fresh reactive spec (mirrors the suite's
-// internal variant without needing its private constructor).
-func reactiveDozzNoC() policy.Spec {
-	sp := policy.DozzNoC(policy.ReactiveSelector{})
-	sp.Name = "DozzNoC(reactive,41)"
-	return sp
+// extended is the suite's config of spec over tr with the 41-feature
+// extractor in place of the reduced one.
+func extended(s *core.Suite, spec policy.Spec, tr *traffic.Trace) sim.Config {
+	cfg := s.Config(spec, tr)
+	cfg.Extractor = features.NewExtendedExtractor(s.Topo)
+	return cfg
 }
 
 // Write renders the comparison.

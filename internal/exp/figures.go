@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/ml"
-	"repro/internal/policy"
 	"repro/internal/power"
-	"repro/internal/traffic"
 	"repro/internal/vr"
 )
 
@@ -101,7 +98,7 @@ type Fig7Result struct {
 // Fig7 runs the three ML models over every test benchmark (uncompressed,
 // epoch 500) and reports each run's predicted-DVFS-mode breakdown.
 func Fig7(s *core.Suite) (*Fig7Result, error) {
-	if err := requireTrained(s); err != nil {
+	if err := s.TrainAll(); err != nil {
 		return nil, err
 	}
 	var runs []core.Run
@@ -174,7 +171,7 @@ type Fig8Result struct {
 // Fig8 runs all five models over the test benchmarks at both compression
 // settings.
 func Fig8(s *core.Suite, compression int64) (*Fig8Result, error) {
-	if err := requireTrained(s); err != nil {
+	if err := s.TrainAll(); err != nil {
 		return nil, err
 	}
 	out := &Fig8Result{Compression: compression}
@@ -266,15 +263,10 @@ type Fig9Result struct {
 // measures mode-selection accuracy on each of the five test traces. The
 // "all-5" row is the full reduced feature set.
 func Fig9(s *core.Suite) (*Fig9Result, error) {
-	train, err := s.MergedDataset(core.KindDozzNoC, traffic.Train)
+	train, val, err := dozzDatasets(s)
 	if err != nil {
 		return nil, err
 	}
-	val, err := s.MergedDataset(core.KindDozzNoC, traffic.Validation)
-	if err != nil {
-		return nil, err
-	}
-	modeOf := func(v float64) int { return int(policy.ModeForIBU(v)) }
 	out := &Fig9Result{Average: make(map[string]float64)}
 
 	type featCase struct {
@@ -288,22 +280,14 @@ func Fig9(s *core.Suite) (*Fig9Result, error) {
 	cases = append(cases, featCase{name: "all-5", cols: []int{0, 1, 2, 3, 4}})
 
 	for _, fc := range cases {
-		rep, err := ml.TuneLambda(train.Columns(fc.cols...), val.Columns(fc.cols...), s.Opts.Lambdas)
+		_, accs, mean, err := tuneSubset(s, train, val, fc.cols)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig9 feature %s: %w", fc.name, err)
 		}
-		sum := 0.0
-		for _, bench := range TestBenchNames() {
-			ds, err := s.Dataset(core.KindDozzNoC, bench)
-			if err != nil {
-				return nil, err
-			}
-			sub := ds.Columns(fc.cols...)
-			acc := ml.ModeAccuracy(rep.Best.PredictAll(sub.X), sub.Y, modeOf)
-			out.Rows = append(out.Rows, Fig9Row{Feature: fc.name, Bench: bench, Acc: acc})
-			sum += acc
+		for i, bench := range TestBenchNames() {
+			out.Rows = append(out.Rows, Fig9Row{Feature: fc.name, Bench: bench, Acc: accs[i]})
 		}
-		out.Average[fc.name] = sum / float64(len(TestBenchNames()))
+		out.Average[fc.name] = mean
 	}
 	return out, nil
 }
@@ -348,7 +332,7 @@ type HeadlineResult struct {
 // (where load is high enough for the models to differ), matching the
 // paper's use of compressed traces for throughput.
 func Headline(s *core.Suite, compression int64, cmesh *core.Suite) (*HeadlineResult, error) {
-	if err := requireTrained(s); err != nil {
+	if err := s.TrainAll(); err != nil {
 		return nil, err
 	}
 	rows, err := headlineRows(s, compression)
@@ -357,7 +341,7 @@ func Headline(s *core.Suite, compression int64, cmesh *core.Suite) (*HeadlineRes
 	}
 	out := &HeadlineResult{Compression: compression, Mesh: rows}
 	if cmesh != nil {
-		if err := requireTrained(cmesh); err != nil {
+		if err := cmesh.TrainAll(); err != nil {
 			return nil, err
 		}
 		crows, err := headlineRows(cmesh, compression)
@@ -463,35 +447,25 @@ func RunEpochSweep(newSuite epochSuiteFactory, bench string, compression int64, 
 		if err != nil {
 			return nil, err
 		}
-		row := EpochSweepRow{EpochTicks: ep, ValMSE: rep.BestVal.ValMSE}
 		// Only baseline and DozzNoC are needed; the other models would
 		// require their own per-epoch-size training.
-		baseU, err := s.RunBenchmark(core.KindBaseline, bench, 1)
+		res, err := s.RunBenchmarks([]core.Run{
+			{Kind: core.KindBaseline, Bench: bench, Factor: 1},
+			{Kind: core.KindDozzNoC, Bench: bench, Factor: 1},
+			{Kind: core.KindBaseline, Bench: bench, Factor: compression},
+			{Kind: core.KindDozzNoC, Bench: bench, Factor: compression},
+		})
 		if err != nil {
 			return nil, err
 		}
-		dozzU, err := s.RunBenchmark(core.KindDozzNoC, bench, 1)
-		if err != nil {
-			return nil, err
-		}
-		if baseU.StaticJ > 0 {
-			row.StaticSavings = 1 - dozzU.StaticJ/baseU.StaticJ
-		}
-		if baseU.DynamicJ > 0 {
-			row.DynamicSavings = 1 - dozzU.DynamicJ/baseU.DynamicJ
-		}
-		baseC, err := s.RunBenchmark(core.KindBaseline, bench, compression)
-		if err != nil {
-			return nil, err
-		}
-		dozzC, err := s.RunBenchmark(core.KindDozzNoC, bench, compression)
-		if err != nil {
-			return nil, err
-		}
-		if baseC.Throughput > 0 {
-			row.TputLoss = 1 - dozzC.Throughput/baseC.Throughput
-		}
-		out.Rows = append(out.Rows, row)
+		unc, cmp := core.Relate(res[0], res[1]), core.Relate(res[2], res[3])
+		out.Rows = append(out.Rows, EpochSweepRow{
+			EpochTicks:     ep,
+			StaticSavings:  unc.StaticSavings,
+			DynamicSavings: unc.DynamicSavings,
+			TputLoss:       1 - cmp.ThroughputRatio,
+			ValMSE:         rep.BestVal.ValMSE,
+		})
 	}
 	return out, nil
 }

@@ -351,8 +351,8 @@ type Result struct {
 	// is attached (Config.Obs) and zero otherwise. All six are
 	// deterministic: they derive from epoch-boundary decisions and
 	// controller state alone, independent of shard count and scheduling
-	// (obs stages them in per-shard lanes but folds by summation, which
-	// is invariant under the lane partition). MeanAbsPredErr is the run
+	// (obs attributes them on the engine goroutine at each epoch
+	// boundary; shard workers never touch them). MeanAbsPredErr is the run
 	// mean |measured - predicted| IBU over matured decisions;
 	// UnderPredDecisions/OverPredDecisions count matured decisions whose
 	// chosen mode undershot/overshot what the measured IBU called for;
