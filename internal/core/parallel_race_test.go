@@ -117,6 +117,31 @@ func TestConcurrentTrainHarvestsOnce(t *testing.T) {
 	}
 }
 
+// TestTrainedSuiteNeverHarvests installs every ML kind up front, as a
+// weights-loaded or passthrough suite does: training it again must return
+// the installed models without running a single reactive harvest.
+func TestTrainedSuiteNeverHarvests(t *testing.T) {
+	s := tinySuite(t)
+	for _, k := range MLKinds {
+		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
+	}
+	if err := s.TrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range MLKinds {
+		rep, err := s.Train(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Best != s.TrainedModel(k) {
+			t.Fatalf("%v: Train replaced the installed model", k)
+		}
+	}
+	if n := s.harvestCount(); n != 0 {
+		t.Fatalf("%d harvests ran on a suite with every ML kind installed, want 0", n)
+	}
+}
+
 // TestParallelEntryPointsConcurrently exercises HarvestParallel,
 // TrainAll, Compare and RunBenchmarks at the same time on one shared
 // suite, so `go test -race` patrols the cache locking and the pool.
