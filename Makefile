@@ -38,10 +38,10 @@ race:
 # counters (lazy catch-up, sweeps) the epoch fold reads.
 # The cosim daemon's
 # multi-client and backpressure tests (DESIGN.md §5f) ride along: they
-# are the multiplexing layer's race gate. The suite's claim-then-wait
-# harvest tests (DESIGN.md §5i) and the suite's pool tests ride along
-# too, next to the sweep job tests, which train ML models from several
-# workers at once. The pooled-experiment tests run the ablations'
+# are the multiplexing layer's race gate. The suite's training tests
+# (DESIGN.md §5i: Train and TrainAll harvest on the pool, each harvest
+# claimed once) and the suite's pool tests ride along too, next to the
+# sweep job tests, which train ML models from several workers at once. The pooled-experiment tests run the ablations'
 # concurrent mcsim workloads and global selectors on the suite's pool.
 race-sharded:
 	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile|TestObsLaneFoldMatchesSerial|TestObsMirrorsEngineDiagnostics' ./internal/sim

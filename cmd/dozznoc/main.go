@@ -7,8 +7,8 @@
 //
 // ML models (lead, dozznoc, turbo) are trained on the fly via the offline
 // pipeline (reactive data harvest on the 6 training benchmarks, lambda
-// tuning on the 3 validation benchmarks) unless -weights points at a model
-// file written by cmd/train.
+// tuning on the 3 validation benchmarks) unless -weightsdir points at a
+// directory of weights files written by cmd/train.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/ml"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -33,7 +32,6 @@ func main() {
 		horizon    = flag.Int64("horizon", 120_000, "trace generation window in base ticks")
 		epoch      = flag.Int64("epoch", 500, "DVFS epoch length in base ticks")
 		seed       = flag.Int64("seed", 1, "trace generator seed")
-		weights    = flag.String("weights", "", "optional trained-model JSON (skips on-the-fly training)")
 		weightsDir = flag.String("weightsdir", "", "directory of cmd/train outputs to load (skips training)")
 		traceIn    = flag.String("trace", "", "optional binary trace file (overrides -bench)")
 		pattern    = flag.String("pattern", "", "optional synthetic pattern (overrides -bench): uniform, transpose, bitcomp, hotspot, neighbor")
@@ -41,7 +39,6 @@ func main() {
 		series     = flag.String("series", "", "write a per-epoch time-series CSV to this file")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
 		shards     = flag.Int("shards", 0, "tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-		shardsMin  = flag.Int("shard-min-active", 0, fmt.Sprintf("sharded engine's serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		rtTrace    = flag.String("runtimetrace", "", "write a Go execution trace (go tool trace) to this file")
@@ -95,11 +92,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	minActive, err := cli.ParseShardMinActive(*shardsMin)
-	if err != nil {
-		fatal(err)
-	}
-	suite := core.NewSuite(topo, core.Options{Horizon: *horizon, EpochTicks: *epoch, Seed: *seed, Shards: nShards, ShardMinActive: minActive})
+	suite := core.NewSuite(topo, core.Options{Horizon: *horizon, EpochTicks: *epoch, Seed: *seed, Shards: nShards})
 	if *weightsDir != "" {
 		n, err := suite.LoadTrainedModels(*weightsDir)
 		if err != nil {
@@ -108,17 +101,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loaded %d trained models from %s\n", n, *weightsDir)
 	}
 	if kind.IsML() && suite.TrainedModel(kind) == nil {
-		if *weights != "" {
-			m, err := ml.LoadModel(*weights)
-			if err != nil {
-				fatal(err)
-			}
-			suite.SetTrainedModel(kind, m)
-		} else {
-			fmt.Fprintln(os.Stderr, "training", kind, "(use -weights to skip)...")
-			if _, err := suite.Train(kind); err != nil {
-				fatal(err)
-			}
+		fmt.Fprintln(os.Stderr, "training", kind, "(use -weightsdir to skip)...")
+		if _, err := suite.Train(kind); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -148,16 +133,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
-		Topo:           topo,
-		Spec:           spec,
-		Trace:          tr,
-		EpochTicks:     *epoch,
-		Shards:         nShards,
-		ShardMinActive: minActive,
-		CollectSeries:  *series != "",
-		Obs:            observer,
-	})
+	cfg := suite.Config(spec, tr)
+	cfg.CollectSeries = *series != ""
+	cfg.Obs = observer
+	res, err := sim.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}

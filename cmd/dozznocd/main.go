@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cosim"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -36,17 +35,12 @@ func main() {
 		workers     = flag.Int("workers", 0, "sessions allowed to advance simulated time concurrently (0 = GOMAXPROCS)")
 		maxSessions = flag.Int("max-sessions", 0, "max open sessions per connection (0 = default 16)")
 		retryMS     = flag.Int64("retry-after-ms", 0, "retry hint attached to busy replies (0 = default 5)")
-		shardsMin   = flag.Int("shard-min-active", 0, fmt.Sprintf("per-session sharded serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 		obsAddr     = flag.String("obs-addr", "", "serve live expvar/pprof observability on this address (e.g. localhost:6060)")
 		traceOut    = flag.String("trace-out", "", "write engine-phase spans as a Perfetto/chrome://tracing JSONL file (stdio mode only)")
 		traceWin    = flag.Int64("trace-window", 0, "keep only the trailing N base ticks of the phase trace (0 = everything)")
 	)
 	flag.Parse()
 
-	minActive, err := cli.ParseShardMinActive(*shardsMin)
-	if err != nil {
-		fatal(err)
-	}
 	if *listen != "" && *traceOut != "" {
 		fatal(fmt.Errorf("-trace-out requires stdio mode: the phase tracer is single-goroutine, " +
 			"and only a single stdio connection serializes all session work onto one"))
@@ -60,7 +54,6 @@ func main() {
 		Workers:            *workers,
 		MaxSessionsPerConn: *maxSessions,
 		RetryAfterMS:       *retryMS,
-		ShardMinActive:     minActive,
 	}
 	if *listen == "" {
 		opts.Observer = observer

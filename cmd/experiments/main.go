@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/mcsim"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -26,19 +25,18 @@ import (
 // callable in-process (the golden-output regression test drives it with
 // a reduced configuration).
 type runConfig struct {
-	only      string
-	horizon   int64
-	compress  int64
-	seed      int64
-	cmesh     bool
-	csvDir    string
-	shards    int // per-simulation tick-engine shards (0 = auto)
-	shardsMin int // sharded serial-fallback threshold (0 = sim.DefaultShardMinActive)
-	meshW     int // mesh dimensions (default 8x8)
-	meshH     int
-	obsAddr   string // live expvar/pprof endpoint address ("" = off)
-	traceOut  string // engine-phase Perfetto trace path ("" = off)
-	traceWin  int64  // phase-trace retention window in base ticks (0 = everything)
+	only     string
+	horizon  int64
+	compress int64
+	seed     int64
+	cmesh    bool
+	csvDir   string
+	shards   int // per-simulation tick-engine shards (0 = auto)
+	meshW    int // mesh dimensions (default 8x8)
+	meshH    int
+	obsAddr  string // live expvar/pprof endpoint address ("" = off)
+	traceOut string // engine-phase Perfetto trace path ("" = off)
+	traceWin int64  // phase-trace retention window in base ticks (0 = everything)
 
 	// configureSuite, when non-nil, is applied to every suite the run
 	// builds before any simulation (tests install passthrough ML models
@@ -56,7 +54,6 @@ func main() {
 	flag.BoolVar(&rc.cmesh, "cmesh", true, "include the 4x4 cmesh headline row")
 	flag.StringVar(&rc.csvDir, "csv", "", "also write machine-readable CSVs for fig7/fig8/fig9/headline into this directory")
 	flag.IntVar(&rc.shards, "shards", 0, "per-simulation tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-	flag.IntVar(&rc.shardsMin, "shard-min-active", 0, fmt.Sprintf("sharded engine's serial-fallback threshold in active routers (0 = the default, %d; -1 = always attempt the concurrent sweep; results are bit-identical)", sim.DefaultShardMinActive))
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&rtTrace, "runtimetrace", "", "write a Go execution trace (go tool trace) to this file")
@@ -82,9 +79,6 @@ func main() {
 
 func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	if _, err := cli.ParseShards(rc.shards); err != nil {
-		return err
-	}
-	if _, err := cli.ParseShardMinActive(rc.shardsMin); err != nil {
 		return err
 	}
 	if rc.meshW == 0 {
@@ -158,7 +152,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		}
 	}()
 
-	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Shards: rc.shards, ShardMinActive: rc.shardsMin, Obs: observer}
+	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Shards: rc.shards, Obs: observer}
 	newSuite := func(topo topology.Topology, o core.Options) *core.Suite {
 		s := core.NewSuite(topo, o)
 		if rc.configureSuite != nil {
@@ -168,14 +162,12 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 	}
 	suite := newSuite(topology.NewMesh(rc.meshW, rc.meshH), opts)
 	if sel("fig7") || sel("fig8") || sel("headline") {
-		if !trained(suite) {
-			start := time.Now()
-			fmt.Fprintf(errOut, "training ML models on the %dx%d mesh...\n", rc.meshW, rc.meshH)
-			if err := suite.TrainAll(); err != nil {
-				return err
-			}
-			fmt.Fprintf(errOut, "training done in %v\n", time.Since(start).Round(time.Millisecond))
+		start := time.Now()
+		fmt.Fprintf(errOut, "training ML models on the %dx%d mesh...\n", rc.meshW, rc.meshH)
+		if err := suite.TrainAll(); err != nil {
+			return err
 		}
+		fmt.Fprintf(errOut, "training done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	if sel("fig7") {
@@ -293,17 +285,6 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		sw.Write(out)
 	}
 	return nil
-}
-
-// trained reports whether every ML kind already has an installed model
-// (e.g. injected by a test), so the run can skip training.
-func trained(s *core.Suite) bool {
-	for _, k := range core.MLKinds {
-		if s.TrainedModel(k) == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // writeCSVFile writes one CSV export when -csv is set.

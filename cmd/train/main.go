@@ -2,18 +2,18 @@
 // model kinds: harvest feature/label datasets by running the reactive
 // model variants over the 6 training and 3 validation benchmarks, sweep
 // the ridge lambda on validation MSE, and write the winning weight vector
-// (with its feature scaler) to a JSON file usable by cmd/dozznoc -weights.
+// (with its feature scaler) to <model>.weights.json in -out, the directory
+// cmd/dozznoc -weightsdir and cmd/experiments' suites load.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/ml"
 	"repro/internal/topology"
 )
 
@@ -38,9 +38,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "training %s on %s (harvest 9 traces per model, sweep %d lambdas)...\n",
+		*model, topo.Name(), len(suite.Opts.Lambdas))
+	if len(kinds) > 1 {
+		// One batch: every model's harvests share the suite's pool.
+		if err := suite.TrainAll(); err != nil {
+			fatal(err)
+		}
+	}
 	for _, kind := range kinds {
-		fmt.Fprintf(os.Stderr, "training %v on %s (harvest 9 traces, sweep %d lambdas)...\n",
-			kind, topo.Name(), len(suite.Opts.Lambdas))
 		rep, err := suite.Train(kind)
 		if err != nil {
 			fatal(err)
@@ -51,30 +57,26 @@ func main() {
 		for _, p := range rep.Sweep {
 			fmt.Printf("  lambda %-8g val MSE %.4e  train MSE %.4e\n", p.Lambda, p.ValMSE, p.TrainMSE)
 		}
-		name, err := core.WeightsFileName(kind)
-		if err != nil {
-			fatal(err)
-		}
-		path := filepath.Join(*outDir, name)
-		if err := ml.SaveModel(path, rep.Best); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%v: wrote %s\n", kind, path)
 	}
+	if err := suite.SaveTrainedModels(*outDir); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %d weights files to %s\n", len(kinds), *outDir)
 }
 
+// parseKinds parses -model: "all" or one ML model name.
 func parseKinds(s string) ([]core.ModelKind, error) {
-	switch strings.ToLower(s) {
-	case "all":
+	if strings.EqualFold(s, "all") {
 		return core.MLKinds, nil
-	case "lead":
-		return []core.ModelKind{core.KindLEAD}, nil
-	case "dozznoc":
-		return []core.ModelKind{core.KindDozzNoC}, nil
-	case "turbo":
-		return []core.ModelKind{core.KindTurbo}, nil
 	}
-	return nil, fmt.Errorf("unknown model %q", s)
+	kind, err := cli.ParseKind(s)
+	if err != nil {
+		return nil, err
+	}
+	if !kind.IsML() {
+		return nil, fmt.Errorf("%v has no trained model", kind)
+	}
+	return []core.ModelKind{kind}, nil
 }
 
 func fatal(err error) {

@@ -50,19 +50,6 @@ func ParseShards(n int) (int, error) {
 	return n, nil
 }
 
-// ParseShardMinActive validates a -shard-min-active flag value: 0 selects
-// the engine's default serial-fallback threshold
-// (sim.DefaultShardMinActive), positive values pin the threshold, and -1 disables the fallback so every quiet-margin
-// tick attempts the concurrent sweep. Anything below -1 is rejected as
-// a likely typo — all negatives mean the same thing to the engine, so
-// there is no reason to write one deliberately.
-func ParseShardMinActive(n int) (int, error) {
-	if n < -1 {
-		return 0, fmt.Errorf("cli: -shard-min-active must be >= -1, got %d", n)
-	}
-	return n, nil
-}
-
 // ParseKind parses a model name as used throughout the paper.
 func ParseKind(name string) (core.ModelKind, error) {
 	switch strings.ToLower(name) {

@@ -10,8 +10,8 @@
 // The suite caches generated traces, reactive-run datasets and trained
 // models, so repeated experiment functions share work. Every simulation
 // it runs is built by Config; jobs made of many independent simulations
-// (TrainAll, HarvestParallel, Compare, RunBenchmarks, RunConfigs) run
-// them on the suite's pool.
+// (Train, TrainAll, HarvestParallel, Compare, RunBenchmarks, RunConfigs)
+// run them on the suite's pool.
 package core
 
 import (
@@ -288,10 +288,8 @@ func (s *Suite) Spec(kind ModelKind) (policy.Spec, error) {
 	case KindPG:
 		return policy.PowerGated(), nil
 	}
-	s.mu.Lock()
-	rep, ok := s.trained[kind]
-	s.mu.Unlock()
-	if !ok {
+	rep := s.report(kind)
+	if rep == nil {
 		return policy.Spec{}, fmt.Errorf("core: model %v is not trained; call Train first", kind)
 	}
 	sel := policy.ProactiveSelector{Model: rep.Best, ModelName: kind.String()}
@@ -310,16 +308,14 @@ func (s *Suite) Spec(kind ModelKind) (policy.Spec, error) {
 // the reactive variant of kind over the named benchmark trace. If another
 // goroutine is already harvesting it, Dataset waits for that harvest.
 func (s *Suite) Dataset(kind ModelKind, trace string) (*ml.Dataset, error) {
-	return s.dataset(datasetKey{kind, trace}, true, s.Opts.Shards)
+	return s.dataset(datasetKey{kind, trace}, s.Opts.Shards)
 }
 
-// dataset returns key's dataset, harvesting it if no goroutine has
-// started that harvest yet. If one has, it waits for the result when
-// wait is set and returns (nil, nil) at once otherwise. A harvest started
-// here sweeps with the given shard count. The harvest runs
-// without holding s.mu and never waits on another harvest, so waiting on
-// an in-flight one cannot deadlock.
-func (s *Suite) dataset(key datasetKey, wait bool, shards int) (*ml.Dataset, error) {
+// dataset returns key's dataset: it claims the harvest, which then sweeps
+// with the given shard count, or waits for the goroutine that claimed it
+// first. A harvest runs without holding s.mu and never waits on another
+// harvest, so waiting on an in-flight one cannot deadlock.
+func (s *Suite) dataset(key datasetKey, shards int) (*ml.Dataset, error) {
 	s.mu.Lock()
 	f, ok := s.datasets[key]
 	if !ok {
@@ -329,9 +325,6 @@ func (s *Suite) dataset(key datasetKey, wait bool, shards int) (*ml.Dataset, err
 	}
 	s.mu.Unlock()
 	if ok {
-		if !wait {
-			return nil, nil
-		}
 		return f.Wait()
 	}
 	d, err := s.harvest(key, shards)
@@ -388,27 +381,20 @@ func trainingTraces() []string {
 }
 
 // Train runs the offline pipeline for one ML kind: harvest reactive
-// datasets over the 6 training and 3 validation traces, then sweep lambda
-// and keep the best validation model. The report is cached.
-//
-// Concurrent calls share the harvests: each caller first runs every
-// harvest nobody has started, then merges in profile order, waiting on
-// the ones other callers are still running. Two goroutines training one
-// kind therefore split its 9 simulations between them.
+// datasets over the 6 training and 3 validation traces on the suite's
+// pool, then sweep lambda and keep the best validation model. The report
+// is cached, and a kind already trained or installed (SetTrainedModel)
+// returns it without harvesting. Concurrent calls share the harvests:
+// each one is run by whichever caller claims it first.
 func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
-	s.mu.Lock()
-	rep, ok := s.trained[kind]
-	s.mu.Unlock()
-	if ok {
+	if rep := s.report(kind); rep != nil {
 		return rep, nil
 	}
 	if !kind.IsML() {
 		return nil, fmt.Errorf("core: %v has no trained model", kind)
 	}
-	for _, name := range trainingTraces() {
-		if _, err := s.dataset(datasetKey{kind, name}, false, s.Opts.Shards); err != nil {
-			return nil, err
-		}
+	if err := s.HarvestParallel([]ModelKind{kind}, trainingTraces()); err != nil {
+		return nil, err
 	}
 	train, err := s.MergedDataset(kind, traffic.Train)
 	if err != nil {
@@ -418,7 +404,7 @@ func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err = ml.TuneLambda(train, val, s.Opts.Lambdas)
+	rep, err := ml.TuneLambda(train, val, s.Opts.Lambdas)
 	if err != nil {
 		return nil, fmt.Errorf("core: training %v: %w", kind, err)
 	}
@@ -432,14 +418,21 @@ func (s *Suite) Train(kind ModelKind) (*ml.TrainReport, error) {
 	return rep, nil
 }
 
-// TrainAll trains the three ML models: it harvests every training and
-// validation dataset on the suite's pool, then runs the (fast) lambda
-// sweeps.
+// TrainAll trains every ML model not yet trained or installed: it
+// harvests their training and validation datasets on the suite's pool in
+// one batch, then runs the (fast) lambda sweeps. On a suite whose three
+// models are all in place it does nothing.
 func (s *Suite) TrainAll() error {
-	if err := s.HarvestParallel(MLKinds, trainingTraces()); err != nil {
+	var untrained []ModelKind
+	for _, k := range MLKinds {
+		if s.report(k) == nil {
+			untrained = append(untrained, k)
+		}
+	}
+	if err := s.HarvestParallel(untrained, trainingTraces()); err != nil {
 		return err
 	}
-	for _, k := range MLKinds {
+	for _, k := range untrained {
 		if _, err := s.Train(k); err != nil {
 			return err
 		}
@@ -447,12 +440,17 @@ func (s *Suite) TrainAll() error {
 	return nil
 }
 
+// report returns kind's cached training report, or nil.
+func (s *Suite) report(kind ModelKind) *ml.TrainReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.trained[kind]
+}
+
 // TrainedModel returns the best trained ridge model of a kind (nil if the
 // kind is not ML or not yet trained).
 func (s *Suite) TrainedModel(kind ModelKind) *ml.Ridge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rep, ok := s.trained[kind]; ok {
+	if rep := s.report(kind); rep != nil {
 		return rep.Best
 	}
 	return nil
@@ -698,7 +696,7 @@ func (s *Suite) forEach(n int, job func(i, shards int) error) error {
 // hit the cache.
 func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
 	return s.forEach(len(kinds)*len(traces), func(i, shards int) error {
-		_, err := s.dataset(datasetKey{kinds[i/len(traces)], traces[i%len(traces)]}, true, shards)
+		_, err := s.dataset(datasetKey{kinds[i/len(traces)], traces[i%len(traces)]}, shards)
 		return err
 	})
 }

@@ -143,14 +143,18 @@ func TestTrainedSuiteNeverHarvests(t *testing.T) {
 }
 
 // TestParallelEntryPointsConcurrently exercises HarvestParallel,
-// TrainAll, Compare and RunBenchmarks at the same time on one shared
-// suite, so `go test -race` patrols the cache locking and the pool.
-// Passthrough models are installed up front so Compare can run while the
-// harvest is still populating the dataset cache.
+// TrainAll, Train, Compare and RunBenchmarks at the same time on one
+// shared suite, so `go test -race` patrols the cache locking and the
+// pool. DVFS+ML and DozzNoC get passthrough models up front; ML+TURBO is
+// left untrained, so TrainAll harvests its 9 datasets while the batch of
+// installed kinds runs, and each Compare first trains it, claiming or
+// waiting on the same harvests.
 func TestParallelEntryPointsConcurrently(t *testing.T) {
 	s := NewSuite(topology.NewMesh(4, 4), Options{Horizon: 4000, Seed: 3})
-	for _, k := range MLKinds {
-		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
+	passthrough := &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}}
+	installed := []ModelKind{KindLEAD, KindDozzNoC}
+	for _, k := range installed {
+		s.SetTrainedModel(k, passthrough)
 	}
 
 	var wg sync.WaitGroup
@@ -167,12 +171,14 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 		}()
 	}
 
-	run(func() error { return s.HarvestParallel(MLKinds, []string{"fft", "blackscholes"}) })
-	// TrainAll re-harvests every train/validation dataset and then
-	// overwrites the passthrough models under the suite lock.
+	harvested := []string{"fft", "blackscholes"}
+	run(func() error { return s.HarvestParallel(MLKinds, harvested) })
 	run(s.TrainAll)
-	for _, bench := range []string{"fft", "blackscholes"} {
+	for _, bench := range harvested {
 		run(func() error {
+			if _, err := s.Train(KindTurbo); err != nil {
+				return err
+			}
 			c, err := s.Compare(bench, 1)
 			if err != nil {
 				return err
@@ -183,7 +189,7 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 			return nil
 		})
 	}
-	runs := []Run{{KindDozzNoC, "fft", 1}, {KindLEAD, "lu", 2}, {KindTurbo, "blackscholes", 1}}
+	runs := []Run{{KindDozzNoC, "fft", 1}, {KindLEAD, "lu", 2}, {KindDozzNoC, "blackscholes", 1}}
 	var batch []*sim.Result
 	run(func() (err error) {
 		batch, err = s.RunBenchmarks(runs)
@@ -203,6 +209,19 @@ func TestParallelEntryPointsConcurrently(t *testing.T) {
 		if res == nil || !res.Drained {
 			t.Errorf("%+v: batch run missing or undrained", runs[i])
 		}
+	}
+	for _, k := range installed {
+		if s.TrainedModel(k) != passthrough {
+			t.Errorf("%v: the installed model was replaced", k)
+		}
+	}
+	if s.TrainedModel(KindTurbo) == nil {
+		t.Error("ML+TURBO not trained")
+	}
+	// ML+TURBO's 9 training datasets plus the explicit harvest's 6, of
+	// which ML+TURBO on blackscholes (a training trace) is shared.
+	if n, want := s.harvestCount(), len(trainingTraces())+len(MLKinds)*len(harvested)-1; n != want {
+		t.Errorf("%d harvests ran, want %d", n, want)
 	}
 }
 

@@ -37,13 +37,6 @@ type Options struct {
 	MaxSessionsPerConn int
 	// RetryAfterMS is the hint attached to CodeBusy replies (default 5).
 	RetryAfterMS int64
-	// ShardMinActive is applied to every session's engine
-	// (sim.Config.ShardMinActive): 0 selects the sharded engine's
-	// default serial-fallback threshold (sim.DefaultShardMinActive),
-	// positive values pin it, negatives disable the fallback.
-	// Scheduling-only — session results are bit-identical for any
-	// value.
-	ShardMinActive int
 	// Observer, when non-nil, is attached to every session the daemon
 	// opens — engine metrics fold into its Metrics and phase spans into
 	// its Tracer (a windowed tracer keeps always-on tracing bounded).
@@ -372,12 +365,11 @@ func (c *connState) openSession(req *Request) error {
 		observer = obs.New()
 	}
 	sess, err := sim.NewSession(sim.Config{
-		Topo:           topo,
-		Spec:           spec,
-		Shards:         req.Shards,
-		ShardMinActive: c.d.opts.ShardMinActive,
-		LinkTicks:      req.LinkTicks,
-		Obs:            observer,
+		Topo:      topo,
+		Spec:      spec,
+		Shards:    req.Shards,
+		LinkTicks: req.LinkTicks,
+		Obs:       observer,
 	})
 	if err != nil {
 		return c.fail(req.ID, CodeBadField, "%v", err)

@@ -198,6 +198,40 @@ func TestObservedAblationsBindEveryRun(t *testing.T) {
 	check("closedloop sweep", 2*5)
 }
 
+// TestTrainedFiguresNeverHarvest runs Fig7, Fig8 and Headline on an
+// observed suite whose three ML kinds are installed up front: each
+// figure's TrainAll must find nothing to train, so the observer binds
+// exactly the figure's own runs and no reactive harvest.
+func TestTrainedFiguresNeverHarvest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("observed figures in -short mode")
+	}
+	o := obs.New()
+	s := core.NewSuite(topology.NewMesh(4, 4), core.Options{Horizon: 2000, Seed: 3, Obs: o})
+	injectTrivialModels(s)
+	var want int64
+	check := func(figure string, runs int) {
+		t.Helper()
+		want += int64(runs)
+		if got := o.Metrics.Snapshot().Run; got != want {
+			t.Fatalf("after %s the observer bound %d runs, want %d", figure, got, want)
+		}
+	}
+	tests := len(TestBenchNames())
+	if _, err := Fig7(s); err != nil {
+		t.Fatal(err)
+	}
+	check("fig7", len(core.MLKinds)*tests)
+	if _, err := Fig8(s, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("fig8", 2*len(core.AllKinds)*tests)
+	if _, err := Headline(s, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("headline", 2*len(core.AllKinds)*tests)
+}
+
 // TestFeatureSet41UsesSuiteConfig runs FeatureSet41 on a suite with a
 // non-default engine option (LinkTicks 2) and rebuilds its DozzNoC-41
 // arm by hand from direct runs of the suite's config with the extended

@@ -1,11 +1,10 @@
-// Package stats provides run statistics utilities: latency percentiles,
-// histograms, and per-epoch time series with CSV export for plotting the
-// paper's figures from raw runs.
+// Package stats provides run statistics utilities: latency percentiles
+// and per-epoch time series with CSV export for plotting the paper's
+// figures from raw runs.
 package stats
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -74,43 +73,6 @@ func Summarize(values []int64) LatencySummary {
 	s.P95 = nearestRank(sorted, 95)
 	s.P99 = nearestRank(sorted, 99)
 	return s
-}
-
-// Histogram bins values into equal-width buckets over [0, max].
-type Histogram struct {
-	BucketWidth int64
-	Counts      []int64
-	Overflow    int64
-}
-
-// NewHistogram builds a histogram with n buckets of the given width.
-func NewHistogram(buckets int, width int64) *Histogram {
-	if buckets < 1 || width < 1 {
-		panic(fmt.Sprintf("stats: bad histogram shape %d x %d", buckets, width))
-	}
-	return &Histogram{BucketWidth: width, Counts: make([]int64, buckets)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	b := int(v / h.BucketWidth)
-	if b >= len(h.Counts) {
-		h.Overflow++
-		return
-	}
-	h.Counts[b]++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int64 {
-	t := h.Overflow
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // EpochSample is one network-wide snapshot taken at an epoch boundary.

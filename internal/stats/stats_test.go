@@ -96,34 +96,6 @@ func TestSummarizeMatchesPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4, 10)
-	for _, v := range []int64{0, 5, 15, 35, 39, 40, 1000, -3} {
-		h.Add(v)
-	}
-	if h.Counts[0] != 3 { // 0, 5, -3 (clamped)
-		t.Errorf("bucket 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[3] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("overflow = %d", h.Overflow)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramBadShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram accepted")
-		}
-	}()
-	NewHistogram(0, 10)
-}
-
 func TestSeriesCSV(t *testing.T) {
 	s := &Series{EpochTicks: 500}
 	s.Add(EpochSample{Tick: 500, AvgIBU: 0.1, OffRouters: 3, ModeRouters: [5]int{1, 0, 0, 0, 12}, FlitsDelivered: 42, StaticJ: 1e-6})

@@ -241,8 +241,9 @@ func (r *runner) execute(run *Run, o *obs.Observer) (Row, error) {
 		return Row{}, err
 	}
 	if run.Kind.IsML() {
-		// Workers training one kind at once split its harvests; later
-		// calls return the cached report.
+		// Train harvests on the suite's pool. Workers training one kind
+		// at once claim or wait on its harvests; later calls return the
+		// cached report.
 		if _, err := s.Train(run.Kind); err != nil {
 			return Row{}, err
 		}
@@ -280,12 +281,11 @@ func (r *runner) suiteFor(run *Run) (*core.Suite, error) {
 		return nil, err
 	}
 	opts := core.Options{
-		Horizon:        r.spec.Horizon,
-		EpochTicks:     run.EpochTicks,
-		Seed:           run.Seed,
-		Shards:         r.spec.Shards,
-		ShardMinActive: r.spec.ShardMinActive,
-		Lambdas:        grid,
+		Horizon:    r.spec.Horizon,
+		EpochTicks: run.EpochTicks,
+		Seed:       run.Seed,
+		Shards:     r.spec.Shards,
+		Lambdas:    grid,
 	}
 	// PunchSweep convention: 0 disables path punching, everything else
 	// (including the explicit whole-path -1) forwards as a hop count.

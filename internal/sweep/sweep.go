@@ -67,9 +67,6 @@ type Spec struct {
 	// default is 1 (serial sweep): job-level parallelism comes from the
 	// worker pool, and results are bit-identical either way.
 	Shards int `json:"shards,omitempty"`
-	// ShardMinActive pins the sharded engine's serial-fallback
-	// threshold (0 = sim.DefaultShardMinActive; scheduling-only).
-	ShardMinActive int `json:"shard_min_active,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). The CLI -workers
 	// flag overrides it.
 	Workers int `json:"workers,omitempty"`
