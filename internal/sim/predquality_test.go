@@ -145,14 +145,15 @@ func TestMetricsGoldenExposition(t *testing.T) {
 
 // TestMetricsEndpointLint scrapes /metrics from a live server after an
 // observed run and validates the bytes with the vendored checker — the
-// `make metrics-lint` gate.
+// `make metrics-lint` gate. The server opens first: folds publish the
+// live snapshot only while one is open.
 func TestMetricsEndpointLint(t *testing.T) {
-	fixedMetricsSnapshot(t) // folds publish the live snapshot as a side effect
 	srv, err := obs.StartServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	fixedMetricsSnapshot(t)
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {
