@@ -106,15 +106,22 @@ type HistSnapshot struct {
 
 // Snapshot converts h to its serializable form (copies the buckets).
 func (h *Hist) Snapshot() HistSnapshot {
+	var s HistSnapshot
+	h.snapshotInto(&s)
+	return s
+}
+
+// snapshotInto is Snapshot written over s, reusing its bucket backing.
+func (h *Hist) snapshotInto(s *HistSnapshot) {
 	n := HistBuckets
 	for n > 0 && h.Buckets[n-1] == 0 {
 		n--
 	}
-	s := HistSnapshot{Count: h.Count, Sum: h.Sum}
+	s.Count, s.Sum = h.Count, h.Sum
+	s.Buckets = s.Buckets[:0]
 	if n > 0 {
-		s.Buckets = append([]int64(nil), h.Buckets[:n]...)
+		s.Buckets = append(s.Buckets, h.Buckets[:n]...)
 	}
-	return s
 }
 
 // Hist reconstructs the full fixed-size histogram from a snapshot (the

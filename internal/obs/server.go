@@ -16,8 +16,12 @@ import (
 // fold in the process. It is package-level because expvar names are
 // process-global (Publish panics on duplicates): the endpoint always
 // shows the most recently folded run, which is what a human watching a
-// sweep wants.
-var liveSnapshot atomic.Pointer[Snapshot]
+// sweep wants. Folds publish only while openServers is above zero, so a
+// run nobody can read copies nothing.
+var (
+	liveSnapshot atomic.Pointer[Snapshot]
+	openServers  atomic.Int32
+)
 
 var publishOnce sync.Once
 
@@ -31,24 +35,8 @@ func setLiveSnapshot(s *Snapshot) {
 }
 
 // LiveSnapshot returns the most recently published snapshot, or nil if
-// no fold has happened yet.
+// no fold has happened while a Server was open.
 func LiveSnapshot() *Snapshot { return liveSnapshot.Load() }
-
-// driftGauge is the process-global "dozznoc.pred_drift" expvar gauge:
-// 1 after the Page–Hinkley detector has fired in the current run, 0
-// otherwise (BindRun clears it). Like the snapshot it is process-global
-// because expvar names are.
-var (
-	driftGauge     expvar.Int
-	driftGaugeOnce sync.Once
-)
-
-func setDriftGauge(v int64) {
-	driftGaugeOnce.Do(func() {
-		expvar.Publish("dozznoc.pred_drift", &driftGauge)
-	})
-	driftGauge.Set(v)
-}
 
 // Server is the live observability endpoint: expvar counters under
 // /debug/vars (including the "dozznoc" snapshot), the standard pprof
@@ -56,8 +44,9 @@ func setDriftGauge(v int64) {
 // live snapshot under /metrics. It uses its own mux so enabling it never
 // mutates http.DefaultServeMux.
 type Server struct {
-	ln  net.Listener
-	srv *http.Server
+	ln     net.Listener
+	srv    *http.Server
+	closed atomic.Bool
 }
 
 // shutdownTimeout bounds how long Close waits for in-flight handlers
@@ -66,8 +55,10 @@ const shutdownTimeout = 5 * time.Second
 
 // StartServer listens on addr (e.g. "localhost:6060"; ":0" picks a free
 // port — read it back with Addr) and serves in a background goroutine.
-// The server carries header/idle timeouts so a stalled or idle scrape
-// client can never pin a connection open for the life of the run.
+// From then until Close, every Metrics fold in the process publishes the
+// live snapshot. The server carries header/idle timeouts so a stalled or
+// idle scrape client can never pin a connection open for the life of the
+// run.
 func StartServer(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -86,6 +77,7 @@ func StartServer(addr string) (*Server, error) {
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}}
+	openServers.Add(1)
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -96,7 +88,11 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close gracefully shuts the server down: it stops accepting, waits up
 // to shutdownTimeout for in-flight handlers to finish, then force-closes
 // whatever remains. The first real error along that path is returned.
+// Folds stop publishing once no Server is open.
 func (s *Server) Close() error {
+	if s.closed.CompareAndSwap(false, true) {
+		openServers.Add(-1)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	err := s.srv.Shutdown(ctx)

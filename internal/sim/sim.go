@@ -1435,13 +1435,13 @@ func (e *engine) result(ticks int64, drained bool) *Result {
 		res.Series = e.obsM.Series()
 	}
 	if e.obsM != nil {
-		snap := e.obsM.Snapshot()
-		res.MeanAbsPredErr = snap.MeanAbsPredErr
-		res.UnderPredDecisions = snap.UnderPredDecisions
-		res.OverPredDecisions = snap.OverPredDecisions
-		res.UnderPredStallTicks = snap.UnderPredStallTicks
-		res.OverPredStaticWasteJ = snap.OverPredStaticWasteJ
-		res.PredDriftEvents = snap.DriftEvents
+		p := e.obsM.PredSummary()
+		res.MeanAbsPredErr = p.MeanAbsPredErr
+		res.UnderPredDecisions = p.UnderPredDecisions
+		res.OverPredDecisions = p.OverPredDecisions
+		res.UnderPredStallTicks = p.UnderPredStallTicks
+		res.OverPredStaticWasteJ = p.OverPredStaticWasteJ
+		res.PredDriftEvents = p.DriftEvents
 	}
 	if ticks > 0 {
 		res.Throughput = float64(res.FlitsDelivered) / float64(ticks)
