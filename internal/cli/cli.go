@@ -190,7 +190,7 @@ func StartObs(addr, tracePath string, traceWindow int64) (*obs.Observer, func() 
 			}
 			return nil, nil, fmt.Errorf("cli: create phase trace: %w", err)
 		}
-		tracer = obs.NewTracerWindow(tf, traceWindow)
+		tracer = obs.NewTracer(tf, traceWindow)
 	}
 	closeFn := func() error {
 		var firstErr error

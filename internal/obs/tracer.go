@@ -39,12 +39,12 @@ type Tracer struct {
 
 	pending []span // per-track coalescing buffer, indexed by tid
 
-	// Retention window (NewTracerWindow): events are buffered in ring
-	// instead of streamed, and Flush writes only those whose end
-	// timestamp falls within the last retain virtual µs (= base ticks)
-	// of the high-water mark. Metadata lines (process/track names) are
-	// collected in preamble and always written, so the output stays
-	// loadable. retain == 0 is the unbounded streaming mode.
+	// Retention window (retain > 0): events are buffered in ring instead
+	// of streamed, and Flush writes only those whose end timestamp falls
+	// within the last retain virtual µs (= base ticks) of the high-water
+	// mark. Metadata lines (process/track names) are collected in
+	// preamble and always written, so the output stays loadable.
+	// retain <= 0 is the unbounded streaming mode.
 	retain    int64
 	preamble  []string
 	ring      []retEvent
@@ -69,26 +69,16 @@ type span struct {
 }
 
 // NewTracer wraps w (typically an *os.File; the caller closes it after
-// Flush). Writes are buffered.
-func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: bufio.NewWriterSize(w, 64<<10)}
-}
-
-// NewTracerWindow is NewTracer with time-window retention: instead of
-// streaming every event, the tracer buffers them and Flush writes only
-// those whose end timestamp falls within the trailing retainTicks of
-// virtual time (1 tick = 1 µs), plus the metadata preamble that keeps
-// the file loadable. This bounds both file size and memory for
-// always-on tracing in long-running deployments (the cosim daemon):
-// what survives is exactly the unbounded tracer's tail, which
-// TestTracerWindowMatchesTail pins. retainTicks <= 0 selects the
-// unbounded streaming mode.
-func NewTracerWindow(w io.Writer, retainTicks int64) *Tracer {
-	t := NewTracer(w)
-	if retainTicks > 0 {
-		t.retain = retainTicks
-	}
-	return t
+// Flush). Writes are buffered. retainTicks <= 0 streams every event;
+// retainTicks > 0 selects time-window retention: the tracer buffers
+// events and Flush writes only those whose end timestamp falls within
+// the trailing retainTicks of virtual time (1 tick = 1 µs), plus the
+// metadata preamble that keeps the file loadable. This bounds both file
+// size and memory for always-on tracing in long-running deployments (the
+// cosim daemon): what survives is exactly the unbounded tracer's tail,
+// which TestTracerWindowMatchesTail pins.
+func NewTracer(w io.Writer, retainTicks int64) *Tracer {
+	return &Tracer{w: bufio.NewWriterSize(w, 64<<10), retain: retainTicks}
 }
 
 // BeginRun starts a new traced run: closes any pending spans, moves the
@@ -155,7 +145,7 @@ func (t *Tracer) Instant(tid int, name string, tick, n int64) {
 // Flush closes pending spans and drains the buffer; it returns the first
 // write error encountered over the Tracer's lifetime. Call it before
 // closing the underlying file; the Tracer remains usable (BeginRun)
-// afterwards. In retention mode (NewTracerWindow) this is the emission
+// afterwards. In retention mode (retainTicks > 0) this is the emission
 // point: the metadata preamble (first Flush only) and the buffered
 // events still inside the trailing window are written, and the buffer
 // restarts empty — events emitted after a Flush accumulate toward the

@@ -106,14 +106,14 @@ func windowTail(t *testing.T, unbounded *bytes.Buffer, retain int64) string {
 // cut inside run 2, span the run boundary, and cover everything.
 func TestTracerWindowMatchesTail(t *testing.T) {
 	var full bytes.Buffer
-	un := NewTracer(&full)
+	un := NewTracer(&full, 0)
 	windowScript(un)
 	if err := un.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, retain := range []int64{1, 200, 5000, 1 << 40} {
 		var got bytes.Buffer
-		w := NewTracerWindow(&got, retain)
+		w := NewTracer(&got, retain)
 		windowScript(w)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestTracerWindowMatchesTail(t *testing.T) {
 // live set instead of growing with the run.
 func TestTracerWindowSweepBoundsMemory(t *testing.T) {
 	var got bytes.Buffer
-	w := NewTracerWindow(&got, 10)
+	w := NewTracer(&got, 10)
 	w.BeginRun("long", 1)
 	for i := int64(0); i < 100_000; i++ {
 		w.Instant(EngineTrack, "tick", i, -1)
@@ -156,7 +156,7 @@ func TestTracerWindowSweepBoundsMemory(t *testing.T) {
 // accumulate toward the next one, without re-writing the preamble.
 func TestTracerWindowRestartsAfterFlush(t *testing.T) {
 	var got bytes.Buffer
-	w := NewTracerWindow(&got, 1<<40)
+	w := NewTracer(&got, 1<<40)
 	w.BeginRun("first", 1)
 	w.Instant(EngineTrack, "a", 5, -1)
 	if err := w.Flush(); err != nil {
