@@ -32,16 +32,16 @@ race:
 # path under banded and randomized heavy traffic, and the seed corpus of
 # the engine-vs-reference fuzzer (sharded seeds included) — fast enough
 # to fail a sharding bug before the full race sweep runs. The claim
-# barrier's own tests ride first: the park-handshake interleavings and a Session stress
-# run that alternates parked and polling workers at GOMAXPROCS 1 and 2.
-# The obs fold tests ride last: shard workers write the per-shard
-# counters (lazy catch-up, sweeps) the epoch fold reads.
-# The cosim daemon's
-# multi-client and backpressure tests (DESIGN.md §5f) ride along: they
-# are the multiplexing layer's race gate. The suite's training tests
-# (DESIGN.md §5i: Train and TrainAll harvest on the pool, each harvest
-# claimed once) and the suite's pool tests ride along too, next to the
-# sweep job tests, which train ML models from several workers at once. The pooled-experiment tests run the ablations'
+# barrier's own tests ride first: the park-handshake interleavings and a
+# Session stress run that alternates parked and polling workers at
+# GOMAXPROCS 1 and 2. The obs fold tests ride last: shard workers write
+# the per-shard counters (lazy catch-up, sweeps) the epoch fold reads.
+# The cosim daemon's multi-client and backpressure tests (DESIGN.md §5f)
+# ride along: they are the multiplexing layer's race gate. The suite's
+# training tests (DESIGN.md §5i: Train and TrainAll harvest on the pool,
+# each harvest claimed once) and the suite's pool tests ride along too,
+# next to the sweep job tests, which train ML models from several
+# workers at once. The pooled-experiment tests run the ablations'
 # concurrent mcsim workloads and global selectors on the suite's pool.
 race-sharded:
 	$(GO) test -race -run 'TestParkerRecheckCatchesRacingWake|TestClaimBarrierStress|TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|FuzzEngineVsReference|TestRetile|TestObsLaneFoldMatchesSerial|TestObsMirrorsEngineDiagnostics' ./internal/sim
@@ -96,15 +96,15 @@ bench-gate:
 
 # Observability overhead gate: BenchmarkObsOverhead times the
 # BenchmarkMediumLoad activeset run with obs disabled and with an
-# enabled-but-unsubscribed Metrics (no tracer, no endpoint reader) as
-# alternating pairs in one process, and fails if the median paired
-# obs-on/obs-off ratio (stats.Paired) is more than 2% above 1. The
-# attached layer includes the full prediction-quality recorder —
-# histograms, mispredict-cost attribution, and the Page-Hinkley
-# drift detector (DESIGN.md §5j) — so the gate covers the whole
-# pipeline: the layer must stay near-free even when someone leaves it
-# attached. Building with -tags obsslowdown adds 3% to the obs-on arm,
-# which must fail the gate (obs_slowdown_test.go).
+# enabled-but-unsubscribed Metrics (no tracer, no endpoint open, so the
+# epoch fold makes no live-snapshot copy) as alternating pairs in one
+# process, and fails if the median paired obs-on/obs-off ratio
+# (stats.Paired) is more than 2% above 1. The attached layer includes
+# the full prediction-quality recorder — histograms, mispredict-cost
+# attribution, and the Page-Hinkley drift detector (DESIGN.md §5j) — so
+# the gate covers the whole pipeline: the layer must stay near-free even
+# when someone leaves it attached. Building with -tags obsslowdown adds
+# 3% to the obs-on arm, which must fail the gate (obs_slowdown_test.go).
 obs-overhead:
 	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 1x .
 
