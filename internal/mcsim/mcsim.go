@@ -145,8 +145,8 @@ const fpScale = 1 << 20
 
 const fpOne = int64(fpScale)
 
-// System is the multicore workload; it implements sim.Workload and
-// traffic.NextInjector (the event-horizon watermark).
+// System is the multicore workload; it implements sim.Workload,
+// including the event-horizon watermark.
 type System struct {
 	p   SystemParams
 	rng *rand.Rand
@@ -180,10 +180,7 @@ type System struct {
 	l2Misses     int64
 }
 
-var (
-	_ sim.Workload         = (*System)(nil)
-	_ traffic.NextInjector = (*System)(nil)
-)
+var _ sim.Workload = (*System)(nil)
 
 // New builds the workload.
 func New(p SystemParams) (*System, error) {
@@ -400,7 +397,7 @@ func (s *System) creditCrossing(c int, now int64) int64 {
 	return t
 }
 
-// NextInjectionTick implements traffic.NextInjector: the earliest tick
+// NextInjectionTick implements sim.Workload: the earliest tick
 // >= now at which Tick may inject a packet or Done may change, absent
 // deliveries. Three sources bound it: the service-event heap (bank/MC
 // completions re-inject at their due tick), each unstalled unfinished
@@ -461,7 +458,7 @@ func (s *System) creditAccrued(now, n int64) int64 {
 	return sum
 }
 
-// SkipTicks implements traffic.NextInjector: replay the accounting Tick
+// SkipTicks implements sim.Workload: replay the accounting Tick
 // would have performed over the skipped window [now, now+delta) in
 // closed form. Finished cores do nothing; stalled cores accrue stalled
 // time (they cannot unstall without a delivery, and deliveries end the

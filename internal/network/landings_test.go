@@ -32,6 +32,13 @@ func sendOnWire(t *testing.T, n *Network, topo topology.Topology, src, dst int, 
 	return -1
 }
 
+// landDue lands every due transit the way a one-shard engine tick does:
+// stage them all into lane 0's bucket, then land it.
+func landDue(n *Network) {
+	n.StageDueLandings(make([]uint8, len(n.Routers)))
+	n.LandPending(0)
+}
+
 // TestStageDueLandingsBucketsAndWatermark pins the sharded landing
 // protocol at the network layer: due transits leave the wire in FIFO
 // order into their destination shard's bucket, the watermark tracks the
@@ -127,7 +134,7 @@ func TestWirePopReleasesPooledFlits(t *testing.T) {
 		t.Fatal("in-flight transit lost its flit")
 	}
 	n.SetTick(sent + 2)
-	n.DeliverDue()
+	landDue(n)
 	for i := range backing {
 		if backing[i].f != nil {
 			t.Fatalf("popped wire slot %d still pins flit %p", i, backing[i].f)
@@ -180,7 +187,7 @@ func TestWireBackingBounded(t *testing.T) {
 		if tick%2 == 0 {
 			n.Inject(flit.New(uint64(tick), core, topo.CoreAt(dst, 0), flit.Request, tick))
 		}
-		n.DeliverDue()
+		landDue(n)
 		for r := 0; r < topo.NumRouters(); r++ {
 			n.CycleRouter(r, 0)
 		}

@@ -148,10 +148,10 @@ func (l *lane) injectCore(r *router.Router, core, localPort int) {
 
 // ForwardFlit wires output port outPort of r to the opposite input port of
 // the neighbor, computing the look-ahead route for the next hop. With a
-// nonzero link latency the flit is staged onto the wire and lands in a
-// later tick's DeliverDue; with zero latency it lands inline (the
-// destination is within the sending shard whenever the sweep is
-// concurrent — see the quiet-margin predicate in sim).
+// nonzero link latency the flit is staged onto the wire and lands on a
+// later tick (StageDueLandings, then LandPending); with zero latency it
+// lands inline (the destination is within the sending shard whenever the
+// sweep is concurrent — see the quiet-margin predicate in sim).
 func (l *lane) ForwardFlit(r *router.Router, outPort, outVC int, f *flit.Flit) {
 	n := l.n
 	next := n.wiring.neighbor(r.ID, outPort)

@@ -305,9 +305,9 @@ func TestManyToOneHotspotDrains(t *testing.T) {
 }
 
 // TestWireWatermark pins the event-driven wire watermark: NextWireDue
-// tracks the earliest in-flight deliverAt exactly, DeliverDue before
-// that tick is a no-op (the O(1) fast path), and the due flit lands on
-// precisely its due tick.
+// tracks the earliest in-flight deliverAt exactly, StageDueLandings
+// before that tick stages nothing (the O(1) fast path), and the due flit
+// stages and lands on precisely its due tick.
 func TestWireWatermark(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	n, _, _, _ := buildNet(t, topo)
@@ -335,18 +335,22 @@ func TestWireWatermark(t *testing.T) {
 		t.Fatalf("watermark = %d after a send at tick %d with 3-tick links, want %d", got, sent, sent+3)
 	}
 	next := topo.RouterAt(1, 0)
-	// Before the due tick, DeliverDue must change nothing.
+	shardOf := make([]uint8, topo.NumRouters())
+	// Before the due tick, staging must change nothing.
 	n.SetTick(sent + 1)
-	n.DeliverDue()
-	if n.NextWireDue() != sent+3 {
-		t.Fatal("early DeliverDue consumed the wire")
+	if staged := n.StageDueLandings(shardOf); staged != 0 || n.NextWireDue() != sent+3 {
+		t.Fatalf("early StageDueLandings staged %d and consumed the wire", staged)
 	}
+	n.LandPending(0)
 	if !n.Routers[next].BuffersEmpty() {
 		t.Fatal("flit landed before its link latency elapsed")
 	}
 	// On the due tick the flit lands and the watermark resets.
 	n.SetTick(sent + 3)
-	n.DeliverDue()
+	if staged := n.StageDueLandings(shardOf); staged != 1 {
+		t.Fatalf("staged %d transits on the due tick, want 1", staged)
+	}
+	n.LandPending(0)
 	if n.Routers[next].BuffersEmpty() {
 		t.Fatal("due flit did not land")
 	}

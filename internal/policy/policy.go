@@ -528,16 +528,18 @@ func (c *Controller) IdleGatingOnly(routerID int) bool {
 // FastForward advances the router's state machine by delta base ticks in
 // one step — the exact closed form of delta Advance calls on a quiescent
 // network. The caller must bound delta so that no transition fires inside
-// the window (delta <= TicksToNextEvent for every router). It returns how
-// many local router cycles would have run (Active routers outside a
-// switch pause), so the engine can advance the router's cycle counter and
-// replicate the per-cycle PostCycle idle accounting; 0 for all other
-// states.
+// the window (delta <= TicksToNextEvent for every router). secured says
+// whether the router held securing claims for the whole window; the
+// secured set cannot change inside one, since claims are only raised or
+// released by injections, landings and flit movement, all of which bound
+// it. It returns how many local router cycles would have run (Active
+// routers outside a switch pause), so the engine can advance the
+// router's cycle counter; 0 for all other states.
 //
 // FastForward touches only the router's own state machine, so during a
 // concurrent sweep each engine shard may catch up its own routers in
 // parallel.
-func (c *Controller) FastForward(routerID int, delta int64) int64 {
+func (c *Controller) FastForward(routerID int, delta int64, secured bool) int64 {
 	pm := &c.pm[routerID]
 	switch pm.state {
 	case Inactive:
@@ -552,37 +554,17 @@ func (c *Controller) FastForward(routerID int, delta int64) int64 {
 			pm.switchLeft -= int(fires)
 			return 0
 		}
-		// PostCycle on an empty, unsecured router counts one idle cycle
-		// per fired local cycle.
+		// PostCycle after each fired cycle counts one idle cycle on an
+		// empty, unsecured router and resets the count on a secured one.
 		if c.spec.PowerGating {
-			pm.idleCycles += int(fires)
+			if !secured {
+				pm.idleCycles += int(fires)
+			} else if fires > 0 {
+				pm.idleCycles = 0
+			}
 		}
 		return fires
 	}
-}
-
-// FastForwardSecured is the FastForward variant for a router that holds
-// securing claims for the entire skipped window. The one behavioral
-// difference is the idle counter of an Active power-gating router: eager
-// stepping runs PostCycle after every fired local cycle, and PostCycle
-// resets idleCycles to 0 whenever the router is secured — so a secured
-// window with at least one fired cycle ends with idleCycles == 0, not
-// idleCycles + fires. Every other state (Inactive, Wakeup, mid-switch,
-// non-gating models) ignores the secured bit and delegates to
-// FastForward. The engine picks the variant per router from the
-// network's secured count, which cannot change inside a horizon window
-// (claims are only raised or released by injections, landings and flit
-// movement, all of which bound the window).
-func (c *Controller) FastForwardSecured(routerID int, delta int64) int64 {
-	pm := &c.pm[routerID]
-	if pm.state != Active || pm.switchLeft > 0 || !c.spec.PowerGating {
-		return c.FastForward(routerID, delta)
-	}
-	fires := pm.domain.AdvanceBy(delta)
-	if fires > 0 {
-		pm.idleCycles = 0
-	}
-	return fires
 }
 
 // TicksToNextCycle returns the relative base tick offset at which the

@@ -77,10 +77,11 @@ func TestFastForwardSkipsIdleTime(t *testing.T) {
 	}
 }
 
-// opaqueWorkload hides every optional interface of the workload it
-// wraps — in particular traffic.NextInjector, without which the engine
-// cannot bound a skip and turns fast-forward off.
+// opaqueWorkload wraps a workload but claims it may inject on every
+// tick: a watermark of now, which bounds every skip at zero ticks.
 type opaqueWorkload struct{ sim.Workload }
+
+func (opaqueWorkload) NextInjectionTick(now int64) int64 { return now }
 
 // TestActiveSetLazyTicksScheduleInvariant pins the diagnostic itself:
 // because the active set never contains a deferrable router when the

@@ -129,9 +129,12 @@ type Config struct {
 }
 
 // Workload is a closed-loop traffic source (e.g. the mcsim multicore
-// model): the engine calls Tick every base tick so it can inject packets,
-// forwards every delivery to it, and stops once it reports Done and the
-// network has drained.
+// model): the engine calls Tick on every base tick it processes so the
+// workload can inject packets, forwards every delivery to it, and stops
+// once it reports Done and the network has drained. Between processed
+// ticks the engine may skip a window of idle ticks (DESIGN.md §5h): the
+// workload bounds that window with its injection watermark and replays
+// the skipped ticks' accounting in closed form.
 type Workload interface {
 	// Tick may inject any number of packets at the current tick.
 	Tick(now int64, inject func(p *flit.Packet))
@@ -140,6 +143,20 @@ type Workload interface {
 	PacketDelivered(p *flit.Packet, core int, now int64)
 	// Done reports whether the workload has no more work to issue.
 	Done() bool
+	// NextInjectionTick returns the earliest tick >= now at which Tick
+	// may inject a packet or Done may change, assuming no deliveries are
+	// observed before then (a delivery re-runs the horizon computation,
+	// so the promise only needs to hold while the network hands nothing
+	// back). Returning now means "this very tick" and disables skipping;
+	// traffic.NoPendingInjection means "never again without a delivery".
+	NextInjectionTick(now int64) int64
+	// SkipTicks tells the workload that the engine skipped the window
+	// [now, now+delta) without calling Tick: the workload must advance
+	// whatever per-tick accounting Tick would have performed, in closed
+	// form, so that its observable behavior from now+delta onward is
+	// bit-identical to having been ticked eagerly. The engine only calls
+	// it with delta bounded by NextInjectionTick(now) - now.
+	SkipTicks(now, delta int64)
 }
 
 // FeatureExtractor computes a router's per-epoch feature vector; both the
@@ -542,7 +559,8 @@ type engine struct {
 	// residency billing and clock-domain phase, so they are caught up in
 	// closed form when next touched; deferred routers whose idle-gating
 	// countdown is still pending additionally sit on their shard's arm
-	// heap and rejoin the schedule at exactly the gating tick.
+	// heap and rejoin the schedule at exactly the gating tick. lazy is
+	// false only in the reference engine, which also never skips ticks.
 	lazy      bool
 	shards    []shardState
 	shardOf   []uint8 // owning shard of each router
@@ -573,16 +591,10 @@ type engine struct {
 	// first unconsumed index; tick is the next base tick to process and
 	// drained records a drain-mode stop (source exhausted, network
 	// empty).
-	entries   []traffic.Entry
-	cursor    int
-	tick      int64
-	drained   bool
-	ffEnabled bool
-	// nextInj is the workload's event-horizon watermark (nil when no
-	// workload is attached, or when the workload does not implement
-	// traffic.NextInjector — in which case ffEnabled is forced off,
-	// since an opaque Tick callback may inject at any base tick).
-	nextInj traffic.NextInjector
+	entries []traffic.Entry
+	cursor  int
+	tick    int64
+	drained bool
 }
 
 // canDefer reports whether a router may leave the active set: no
@@ -657,11 +669,9 @@ func (e *engine) catchUpTo(r int, target int64) {
 	if delta <= 0 {
 		return
 	}
-	mode, wt := e.ctrl.BillingState(r)
-	e.meter[r].AddStatic(mode, wt, delta)
-	if cycles := e.ctrl.FastForward(r, delta); cycles > 0 {
-		e.net.Routers[r].SkipCycles(cycles)
-	}
+	// A deferred router held no securing claim in its window: the claim
+	// whose wake request brings it here is raised only now.
+	e.ffRouter(r, delta, false)
 	// Owner-only: during a concurrent sweep this is only reached via
 	// WakeRequest, whose targets the isolation predicate keeps inside the
 	// calling shard.
@@ -1012,7 +1022,8 @@ func newEngine(cfg Config) (*engine, error) {
 		// reproduces their eager ticks exactly — which also keeps the
 		// active set free of deferrable members at every fast-forward
 		// check, so LazySkippedRouterTicks is identical whether or not
-		// fast-forward engages (e.g. under an opaque workload).
+		// fast-forward engages (e.g. under a workload whose watermark is
+		// always now).
 		e.refreshActive(0)
 	}
 
@@ -1022,41 +1033,22 @@ func newEngine(cfg Config) (*engine, error) {
 		// this capacity makes the per-delivery latency append allocation-free.
 		e.latencies = make([]int64, 0, len(e.entries))
 	}
-	e.ffEnabled = !cfg.Reference
-	if cfg.Workload != nil {
-		if inj, ok := cfg.Workload.(traffic.NextInjector); ok {
-			e.nextInj = inj
-		} else {
-			// Without a watermark the workload may inject at any tick, so
-			// every base tick must call Tick: no skipping is sound.
-			e.ffEnabled = false
-		}
-	}
 	return e, nil
 }
 
-// ffRouter advances one router across a skipped window of delta base
-// ticks: residency billing in its current (frozen) billing state,
-// controller catch-up in closed form, and empty-cycle replay for each
-// fired local cycle. Occupancy is zero for every router across a skipped
-// window (BufferedFlits was zero and nothing lands mid-window), so
-// ibuNum is untouched and SkipCycles' empty-router replay is exact.
-// Routers holding securing claims take the FastForwardSecured variant —
-// eager stepping would have run PostCycle with the secured bit set after
-// every fired cycle — and the secured set cannot change inside the
-// window (claims are only raised by injections, landings and flit
-// forwarding, and only released by flit movement, all of which bound the
-// window), so sampling it once here is exact.
-func (e *engine) ffRouter(r int, delta int64) {
+// ffRouter advances one router across delta skipped base ticks — a
+// deferred router's catch-up window or an event-horizon jump: residency
+// billing in its current (frozen) billing state, controller catch-up in
+// closed form, and empty-cycle replay for each fired local cycle. The
+// router's buffers are empty throughout (nothing lands inside either
+// kind of window), so ibuNum is untouched and SkipCycles' empty-router
+// replay is exact. secured is whether the router held securing claims
+// for the whole window, which decides its idle count (see
+// policy.Controller.FastForward).
+func (e *engine) ffRouter(r int, delta int64, secured bool) {
 	mode, wt := e.ctrl.BillingState(r)
 	e.meter[r].AddStatic(mode, wt, delta)
-	var cycles int64
-	if e.net.Secured(r) {
-		cycles = e.ctrl.FastForwardSecured(r, delta)
-	} else {
-		cycles = e.ctrl.FastForward(r, delta)
-	}
-	if cycles > 0 {
+	if cycles := e.ctrl.FastForward(r, delta, secured); cycles > 0 {
 		e.net.Routers[r].SkipCycles(cycles)
 	}
 }
@@ -1071,6 +1063,31 @@ func (e *engine) injectNow(p *flit.Packet) {
 	if !e.cfg.NoPathPunch {
 		e.punchPath(p.SrcCore, p.DstCore)
 	}
+}
+
+// landDue lands this tick's due wire transits on the engine goroutine,
+// for a tick whose sweep runs serially: every shard's bucket, in
+// ascending shard order, before any shard sweeps. Landing each bucket
+// just before its own shard's sweep would diverge from the reference
+// engine: a later shard's landing can secure, and so wake, a router that
+// an earlier shard's sweep has already passed.
+func (e *engine) landDue() {
+	if e.net.StageDueLandings(e.shardOf) == 0 {
+		return
+	}
+	for si := range e.shards {
+		e.net.LandPending(si)
+	}
+}
+
+// sourceDone reports whether the injection source is exhausted: the
+// workload says it is Done, or (trace and session) the cursor has
+// consumed every pending entry.
+func (e *engine) sourceDone() bool {
+	if e.cfg.Workload != nil {
+		return e.cfg.Workload.Done()
+	}
+	return e.cursor >= len(e.entries)
 }
 
 // stepUntil processes base ticks in [e.tick, limit). With drainStop set
@@ -1108,12 +1125,8 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 		// exhausted, network empty) stops at the drain check instead of
 		// skipping; a session window without drainStop may jump across
 		// pure idle time toward the window limit.
-		if e.ffEnabled && e.net.BufferedFlits() == 0 {
-			sourceDone := e.cursor >= len(e.entries)
-			if cfg.Workload != nil {
-				sourceDone = cfg.Workload.Done()
-			}
-			if !(drainStop && sourceDone && !e.net.InFlight()) {
+		if e.lazy && e.net.BufferedFlits() == 0 {
+			if !(drainStop && e.sourceDone() && !e.net.InFlight()) {
 				// Cheap global bounds first; the per-member scans below
 				// are skipped entirely once delta hits 0.
 				delta := limit - tick
@@ -1122,10 +1135,10 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 						delta = b
 					}
 				}
-				if e.nextInj != nil {
+				if cfg.Workload != nil {
 					// Watermark and wire-due sentinels are MaxInt64;
 					// subtracting the (non-negative) tick cannot overflow.
-					if b := e.nextInj.NextInjectionTick(tick) - tick; b < delta {
+					if b := cfg.Workload.NextInjectionTick(tick) - tick; b < delta {
 						delta = b
 					}
 				}
@@ -1174,12 +1187,12 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				if delta > 0 {
 					for si := range e.shards {
 						for _, r := range e.shards[si].ids {
-							e.ffRouter(r, delta)
+							e.ffRouter(r, delta, e.net.Secured(r))
 							e.lastTick[r] += delta
 						}
 					}
-					if e.nextInj != nil {
-						e.nextInj.SkipTicks(tick, delta)
+					if cfg.Workload != nil {
+						cfg.Workload.SkipTicks(tick, delta)
 					}
 					if e.net.Quiescent() {
 						e.ffTicks += delta
@@ -1248,7 +1261,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				if e.tr != nil {
 					e.tr.Span(obs.EngineTrack, "serial-sweep", reason, tick, 1)
 				}
-				e.net.DeliverDue()
+				e.landDue()
 				for si := range e.shards {
 					e.sweepShard(si, tick)
 				}
@@ -1257,7 +1270,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 			if e.tr != nil {
 				e.tr.Span(obs.EngineTrack, "sweep-eager", "", tick, 1)
 			}
-			e.net.DeliverDue()
+			e.landDue()
 			for r := 0; r < nR; r++ {
 				e.stepRouter(r, 0)
 			}
@@ -1284,14 +1297,7 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				e.refreshActive(tick + 1)
 			}
 		}
-		if !drainStop {
-			continue
-		}
-		sourceDone := e.cursor >= len(e.entries)
-		if cfg.Workload != nil {
-			sourceDone = cfg.Workload.Done()
-		}
-		if sourceDone && !e.net.InFlight() {
+		if drainStop && e.sourceDone() && !e.net.InFlight() {
 			e.drained = true
 			tick++
 			return true
