@@ -475,7 +475,7 @@ func (c *connState) closeSession(req *Request) error {
 	if !ok {
 		return c.fail(req.ID, CodeNoSession, "no session %q on this connection", req.Session)
 	}
-	st := wireStats(s.sess.Snapshot())
+	st := s.sess.Snapshot()
 	res := s.sess.Close()
 	delete(c.sessions, s.id)
 	c.d.mu.Lock()
@@ -487,33 +487,11 @@ func (c *connState) closeSession(req *Request) error {
 // publish snapshots the session and stores the result where the expvar
 // branch can read it without touching the engine.
 func (c *connState) publish(s *session) Stats {
-	st := wireStats(s.sess.Snapshot())
+	st := s.sess.Snapshot()
 	c.d.mu.Lock()
 	s.pub = st
 	c.d.mu.Unlock()
 	return st
-}
-
-func wireStats(st sim.SessionStats) Stats {
-	return Stats{
-		Tick:             st.Tick,
-		PacketsInjected:  st.PacketsInjected,
-		PacketsDelivered: st.PacketsDelivered,
-		FlitsDelivered:   st.FlitsDelivered,
-		LatencySumTicks:  st.LatencySumTicks,
-		LatencyCount:     st.LatencyCount,
-		AvgLatencyTicks:  st.AvgLatencyTicks,
-		StaticJ:          st.StaticJ,
-		DynamicJ:         st.DynamicJ,
-
-		EpochDecisions:       st.EpochDecisions,
-		MeanAbsPredErr:       st.MeanAbsPredErr,
-		UnderPredDecisions:   st.UnderPredDecisions,
-		OverPredDecisions:    st.OverPredDecisions,
-		UnderPredStallTicks:  st.UnderPredStallTicks,
-		OverPredStaticWasteJ: st.OverPredStaticWasteJ,
-		PredDriftEvents:      st.PredDriftEvents,
-	}
 }
 
 // --- expvar branch ---------------------------------------------------

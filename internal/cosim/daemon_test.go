@@ -160,7 +160,7 @@ func TestDaemonSessionBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: query: %v", name, err)
 			}
-			want := wireStats(direct.Snapshot())
+			want := direct.Snapshot()
 			if !reflect.DeepEqual(*got, want) {
 				t.Fatalf("%s: daemon stats diverge from direct engine:\ndaemon: %+v\ndirect: %+v", name, *got, want)
 			}
@@ -238,7 +238,7 @@ func TestDaemonTransferKeepsPublishedStats(t *testing.T) {
 				if !reflect.DeepEqual(got, before) {
 					t.Fatalf("%s: transfer %d moved the published stats:\nafter:  %+v\nbefore: %+v", name, i, got, before)
 				}
-				if want := wireStats(direct.Snapshot()); !reflect.DeepEqual(got, want) {
+				if want := direct.Snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: transfer %d: published stats diverge from direct engine:\ndaemon: %+v\ndirect: %+v", name, i, got, want)
 				}
 				switch i % 4 {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -120,33 +121,9 @@ type Response struct {
 	Stats *Stats `json:"stats,omitempty"` // query / close-session
 }
 
-// Stats is the wire form of a session snapshot. Field-for-field it
-// mirrors sim.SessionStats; float64 values survive the JSON round trip
-// bit-exactly (Go emits the shortest representation that parses back to
-// the same float), which is what lets the daemon equivalence test
-// DeepEqual wire stats against a direct engine run.
-type Stats struct {
-	Tick             int64   `json:"tick"`
-	PacketsInjected  int64   `json:"packets_injected"`
-	PacketsDelivered int64   `json:"packets_delivered"`
-	FlitsDelivered   int64   `json:"flits_delivered"`
-	LatencySumTicks  int64   `json:"latency_sum_ticks"`
-	LatencyCount     int64   `json:"latency_count"`
-	AvgLatencyTicks  float64 `json:"avg_latency_ticks"`
-	StaticJ          float64 `json:"static_j"`
-	DynamicJ         float64 `json:"dynamic_j"`
-
-	// Prediction-quality summary (sim.SessionStats semantics); all zero
-	// when the session runs without an observer. omitempty keeps old
-	// transcripts and non-ML replies byte-stable.
-	EpochDecisions       int64   `json:"epoch_decisions,omitempty"`
-	MeanAbsPredErr       float64 `json:"mean_abs_pred_err,omitempty"`
-	UnderPredDecisions   int64   `json:"underpred_decisions,omitempty"`
-	OverPredDecisions    int64   `json:"overpred_decisions,omitempty"`
-	UnderPredStallTicks  int64   `json:"underpred_stall_ticks,omitempty"`
-	OverPredStaticWasteJ float64 `json:"overpred_static_waste_j,omitempty"`
-	PredDriftEvents      int64   `json:"pred_drift_events,omitempty"`
-}
+// Stats is the wire form of a session snapshot: sim.SessionStats, whose
+// JSON tags are the wire field names.
+type Stats = sim.SessionStats
 
 // DecodeFrame parses and validates one request line (without the
 // trailing newline; a trailing LF/CRLF is tolerated). All failures are

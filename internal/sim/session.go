@@ -25,28 +25,32 @@ import (
 // traffic counters, the exact integer latency sum over delivered
 // packets, and the energy meters summed in router order (the same
 // accumulation order Result uses, so the floats are bit-identical to a
-// Result taken at the same tick).
+// Result taken at the same tick). Its JSON form is the cosim daemon's
+// wire stats; float64 values survive the JSON round trip bit-exactly (Go
+// emits the shortest representation that parses back to the same
+// float), so a client's decoded stats DeepEqual a direct session's.
 type SessionStats struct {
-	Tick             int64
-	PacketsInjected  int64
-	PacketsDelivered int64
-	FlitsDelivered   int64
-	LatencySumTicks  int64 // sum of delivered packets' latencies, base ticks
-	LatencyCount     int64 // delivered packets contributing to the sum
-	AvgLatencyTicks  float64
-	StaticJ          float64
-	DynamicJ         float64
+	Tick             int64   `json:"tick"`
+	PacketsInjected  int64   `json:"packets_injected"`
+	PacketsDelivered int64   `json:"packets_delivered"`
+	FlitsDelivered   int64   `json:"flits_delivered"`
+	LatencySumTicks  int64   `json:"latency_sum_ticks"` // sum of delivered packets' latencies, base ticks
+	LatencyCount     int64   `json:"latency_count"`     // delivered packets contributing to the sum
+	AvgLatencyTicks  float64 `json:"avg_latency_ticks"`
+	StaticJ          float64 `json:"static_j"`
+	DynamicJ         float64 `json:"dynamic_j"`
 
 	// Prediction-quality summary (see sim.Result for semantics), sourced
 	// from the session's attached obs.Metrics; all zero when the session
-	// runs without one.
-	EpochDecisions       int64
-	MeanAbsPredErr       float64
-	UnderPredDecisions   int64
-	OverPredDecisions    int64
-	UnderPredStallTicks  int64
-	OverPredStaticWasteJ float64
-	PredDriftEvents      int64
+	// runs without one. omitempty keeps transcripts of non-ML sessions
+	// byte-stable.
+	EpochDecisions       int64   `json:"epoch_decisions,omitempty"`
+	MeanAbsPredErr       float64 `json:"mean_abs_pred_err,omitempty"`
+	UnderPredDecisions   int64   `json:"underpred_decisions,omitempty"`
+	OverPredDecisions    int64   `json:"overpred_decisions,omitempty"`
+	UnderPredStallTicks  int64   `json:"underpred_stall_ticks,omitempty"`
+	OverPredStaticWasteJ float64 `json:"overpred_static_waste_j,omitempty"`
+	PredDriftEvents      int64   `json:"pred_drift_events,omitempty"`
 }
 
 // Session is one persistent mesh + policy model instance. Create with
