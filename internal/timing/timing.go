@@ -74,9 +74,6 @@ func (d *Domain) SetFreq(freqMHz int) {
 	}
 }
 
-// Freq returns the current frequency in MHz.
-func (d *Domain) Freq() int { return d.freqMHz }
-
 // Tick advances the domain by one base tick and reports whether a local
 // cycle fires on this tick.
 func (d *Domain) Tick() bool {
