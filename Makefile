@@ -51,19 +51,24 @@ race-sharded:
 	$(GO) test -race -run 'TestPooledAblationsMatchDirectRuns|TestObservedAblationsBindEveryRun' ./internal/exp
 
 # Fuzz smoke: run the cosim frame-decoder fuzz target, the
-# engine-vs-reference differential fuzzer, the sweep-spec fuzzer and the
-# results-file reader fuzzer for 10s each on top of their committed seed
-# corpora (internal/*/testdata/fuzz). Catches decoder panics/hangs on
-# malformed frames, any configuration where the fast engine and
+# engine-vs-reference differential fuzzer, the sweep-spec fuzzer, the
+# results-file reader fuzzer and the binary and CSV trace decoders'
+# fuzzers for 10s each on top of their committed seed corpora
+# (internal/*/testdata/fuzz). Catches decoder panics/hangs on malformed
+# frames, any configuration where the fast engine and
 # sim.Config.Reference disagree, sweep spec files that panic instead of
-# failing with an error, and results files whose resume point is not a
-# line boundary, before they ship; run with a longer -fuzztime locally
-# when touching proto.go, the engine, the spec or the results reader.
+# failing with an error, results files whose resume point is not a line
+# boundary, and trace files that panic or decode to an invalid trace
+# instead of failing with an error, before they ship; run with a longer
+# -fuzztime locally when touching proto.go, the engine, the spec, the
+# results reader or the trace codec.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/cosim
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsReference -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSweepSpec -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/traffic
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/traffic
 
 bench:
 	$(GO) test -bench=. -benchmem .
