@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -26,7 +27,7 @@ import (
 func main() {
 	var (
 		topoName   = flag.String("topo", "mesh8x8", "topology: mesh8x8, cmesh4x4 or mesh<W>x<H>")
-		model      = flag.String("model", "dozznoc", "model: baseline, pg, lead, dozznoc, turbo")
+		model      = flag.String("model", "dozznoc", "model: "+strings.Join(core.ShortNames(core.AllKinds), ", "))
 		bench      = flag.String("bench", "fft", "benchmark name (see -list)")
 		compress   = flag.Int64("compress", 1, "trace time-compression factor (1 = uncompressed)")
 		horizon    = flag.Int64("horizon", 120_000, "trace generation window in base ticks")
@@ -83,7 +84,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kind, err := cli.ParseKind(*model)
+	kind, err := core.ParseKind(*model)
 	if err != nil {
 		fatal(err)
 	}

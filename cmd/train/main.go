@@ -12,14 +12,13 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
 
 func main() {
 	var (
-		model   = flag.String("model", "all", "lead, dozznoc, turbo or all")
+		model   = flag.String("model", "all", strings.Join(core.ShortNames(core.MLKinds), ", ")+" or all")
 		outDir  = flag.String("out", ".", "directory for <model>.weights.json files")
 		horizon = flag.Int64("horizon", 120_000, "trace generation window in base ticks")
 		epoch   = flag.Int64("epoch", 500, "DVFS epoch length in base ticks")
@@ -69,7 +68,7 @@ func parseKinds(s string) ([]core.ModelKind, error) {
 	if strings.EqualFold(s, "all") {
 		return core.MLKinds, nil
 	}
-	kind, err := cli.ParseKind(s)
+	kind, err := core.ParseKind(s)
 	if err != nil {
 		return nil, err
 	}

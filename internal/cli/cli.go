@@ -1,5 +1,6 @@
 // Package cli holds the small parsing helpers shared by the command-line
-// tools (topology, model-kind and pattern names, trace loading).
+// tools (topology and pattern names, trace loading); model names parse
+// with core.ParseKind.
 package cli
 
 import (
@@ -11,7 +12,6 @@ import (
 	"runtime/trace"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -48,23 +48,6 @@ func ParseShards(n int) (int, error) {
 		return 0, fmt.Errorf("cli: -shards must be >= 0, got %d", n)
 	}
 	return n, nil
-}
-
-// ParseKind parses a model name as used throughout the paper.
-func ParseKind(name string) (core.ModelKind, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return core.KindBaseline, nil
-	case "pg", "powerpunch", "power-gated":
-		return core.KindPG, nil
-	case "lead", "lead-tau", "dvfs+ml", "dvfsml":
-		return core.KindLEAD, nil
-	case "dozznoc":
-		return core.KindDozzNoC, nil
-	case "turbo", "ml+turbo", "mlturbo":
-		return core.KindTurbo, nil
-	}
-	return 0, fmt.Errorf("cli: unknown model %q", name)
 }
 
 // ParsePattern parses a synthetic-pattern name.

@@ -8,7 +8,6 @@ import (
 	"syscall"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -30,26 +29,6 @@ func TestParseTopo(t *testing.T) {
 		if _, err := ParseTopo(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
-	}
-}
-
-func TestParseKind(t *testing.T) {
-	cases := map[string]core.ModelKind{
-		"baseline": core.KindBaseline,
-		"PG":       core.KindPG,
-		"lead":     core.KindLEAD,
-		"LEAD-tau": core.KindLEAD,
-		"DozzNoC":  core.KindDozzNoC,
-		"ml+turbo": core.KindTurbo,
-	}
-	for name, want := range cases {
-		got, err := ParseKind(name)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseKind("mystery"); err == nil {
-		t.Error("unknown model accepted")
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -48,32 +50,89 @@ const (
 	numKinds
 )
 
-// AllKinds lists the models in the paper's comparison order.
-var AllKinds = []ModelKind{KindBaseline, KindPG, KindLEAD, KindDozzNoC, KindTurbo}
+// kindInfo is one row of the model table: everything the repository
+// knows about a kind outside the policy package.
+type kindInfo struct {
+	paper   string   // the paper's name (String)
+	short   string   // run IDs, sweep rows, weights-file stem, daemon name
+	aliases []string // other accepted spellings, lowercase
+	ml      bool     // carries a trained predictor
+	// build returns the kind's policy spec around sel (ignored by the
+	// non-ML kinds) for a network of the given router count.
+	build func(sel policy.ModeSelector, routers int) policy.Spec
+}
 
-// MLKinds lists the three models that carry a trained predictor.
-var MLKinds = []ModelKind{KindLEAD, KindDozzNoC, KindTurbo}
+// kinds is the model table, indexed by ModelKind in the paper's
+// comparison order. It is the only place the five models are listed.
+var kinds = [numKinds]kindInfo{
+	KindBaseline: {"Baseline", "baseline", nil, false,
+		func(policy.ModeSelector, int) policy.Spec { return policy.Baseline() }},
+	KindPG: {"PG", "pg", []string{"powerpunch", "power-gated"}, false,
+		func(policy.ModeSelector, int) policy.Spec { return policy.PowerGated() }},
+	KindLEAD: {"DVFS+ML", "lead", []string{"lead-tau", "dvfs+ml", "dvfsml"}, true,
+		func(sel policy.ModeSelector, _ int) policy.Spec { return policy.DVFSML(sel) }},
+	KindDozzNoC: {"DozzNoC", "dozznoc", nil, true,
+		func(sel policy.ModeSelector, _ int) policy.Spec { return policy.DozzNoC(sel) }},
+	KindTurbo: {"ML+TURBO", "turbo", []string{"ml+turbo", "mlturbo", "ml-turbo"}, true,
+		policy.MLTurbo},
+}
+
+// AllKinds lists the models in the paper's comparison order; MLKinds
+// lists the three that carry a trained predictor.
+var AllKinds, MLKinds = func() (all, ml []ModelKind) {
+	for k := range numKinds {
+		all = append(all, k)
+		if kinds[k].ml {
+			ml = append(ml, k)
+		}
+	}
+	return all, ml
+}()
+
+func (k ModelKind) valid() bool { return k >= 0 && k < numKinds }
 
 // String names a model kind as the paper does.
 func (k ModelKind) String() string {
-	switch k {
-	case KindBaseline:
-		return "Baseline"
-	case KindPG:
-		return "PG"
-	case KindLEAD:
-		return "DVFS+ML"
-	case KindDozzNoC:
-		return "DozzNoC"
-	case KindTurbo:
-		return "ML+TURBO"
+	if !k.valid() {
+		return fmt.Sprintf("ModelKind(%d)", int(k))
 	}
-	return fmt.Sprintf("ModelKind(%d)", int(k))
+	return kinds[k].paper
 }
 
+// ShortName is the kind's lowercase name in run IDs, sweep rows,
+// weights-file names and the cosim protocol.
+func (k ModelKind) ShortName() string { return kinds[k].short }
+
 // IsML reports whether the kind uses a trained predictor.
-func (k ModelKind) IsML() bool {
-	return k == KindLEAD || k == KindDozzNoC || k == KindTurbo
+func (k ModelKind) IsML() bool { return k.valid() && kinds[k].ml }
+
+// Build returns a fresh policy spec of kind k around the mode selector
+// sel (ignored by the non-ML kinds) for a network with the given number
+// of routers. A stateful selector must not be shared between engines,
+// so build one spec per simulation.
+func (k ModelKind) Build(sel policy.ModeSelector, routers int) policy.Spec {
+	return kinds[k].build(sel, routers)
+}
+
+// ParseKind parses a model name in any case: a kind's short name or one
+// of its other spellings.
+func ParseKind(name string) (ModelKind, error) {
+	lower := strings.ToLower(name)
+	for k := range numKinds {
+		if lower == kinds[k].short || slices.Contains(kinds[k].aliases, lower) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown model %q", name)
+}
+
+// ShortNames returns the short names of ks, in order.
+func ShortNames(ks []ModelKind) []string {
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = k.ShortName()
+	}
+	return out
 }
 
 // Options tune the suite; zero values select the paper's configuration.
@@ -262,46 +321,29 @@ func (s *Suite) TraceCompressed(name string, factor int64) (*traffic.Trace, erro
 // model kind: identical structure, but mode selection thresholds the
 // *current* IBU instead of a prediction (§III-D "Label").
 func (s *Suite) reactiveSpec(kind ModelKind) policy.Spec {
-	switch kind {
-	case KindLEAD:
-		sp := policy.DVFSML(policy.ReactiveSelector{})
-		sp.Name = "DVFS+ML(reactive)"
-		return sp
-	case KindDozzNoC:
-		sp := policy.DozzNoC(policy.ReactiveSelector{})
-		sp.Name = "DozzNoC(reactive)"
-		return sp
-	case KindTurbo:
-		sp := policy.MLTurbo(policy.ReactiveSelector{}, s.Topo.NumRouters())
-		sp.Name = "ML+TURBO(reactive)"
-		return sp
+	if !kind.IsML() {
+		panic(fmt.Sprintf("core: reactiveSpec of non-ML kind %v", kind))
 	}
-	panic(fmt.Sprintf("core: reactiveSpec of non-ML kind %v", kind))
+	sp := kind.Build(policy.ReactiveSelector{}, s.Topo.NumRouters())
+	sp.Name += "(reactive)"
+	return sp
 }
 
 // Spec returns the runnable policy spec for a kind. ML kinds require a
 // prior TrainAll/Train call.
 func (s *Suite) Spec(kind ModelKind) (policy.Spec, error) {
-	switch kind {
-	case KindBaseline:
-		return policy.Baseline(), nil
-	case KindPG:
-		return policy.PowerGated(), nil
+	if !kind.valid() {
+		return policy.Spec{}, fmt.Errorf("core: unknown model kind %v", kind)
 	}
-	rep := s.report(kind)
-	if rep == nil {
-		return policy.Spec{}, fmt.Errorf("core: model %v is not trained; call Train first", kind)
+	var sel policy.ModeSelector
+	if kind.IsML() {
+		rep := s.report(kind)
+		if rep == nil {
+			return policy.Spec{}, fmt.Errorf("core: model %v is not trained; call Train first", kind)
+		}
+		sel = policy.ProactiveSelector{Model: rep.Best, ModelName: kind.String()}
 	}
-	sel := policy.ProactiveSelector{Model: rep.Best, ModelName: kind.String()}
-	switch kind {
-	case KindLEAD:
-		return policy.DVFSML(sel), nil
-	case KindDozzNoC:
-		return policy.DozzNoC(sel), nil
-	case KindTurbo:
-		return policy.MLTurbo(sel, s.Topo.NumRouters()), nil
-	}
-	return policy.Spec{}, fmt.Errorf("core: unknown model kind %v", kind)
+	return kind.Build(sel, s.Topo.NumRouters()), nil
 }
 
 // Dataset returns the (cached) feature/label dataset harvested by running
@@ -702,17 +744,12 @@ func (s *Suite) HarvestParallel(kinds []ModelKind, traces []string) error {
 }
 
 // WeightsFileName returns the conventional weights-file name for an ML
-// kind (what cmd/train writes).
+// kind (what cmd/train writes): its short name plus ".weights.json".
 func WeightsFileName(kind ModelKind) (string, error) {
-	switch kind {
-	case KindLEAD:
-		return "lead.weights.json", nil
-	case KindDozzNoC:
-		return "dozznoc.weights.json", nil
-	case KindTurbo:
-		return "turbo.weights.json", nil
+	if !kind.IsML() {
+		return "", fmt.Errorf("core: %v has no weights file", kind)
 	}
-	return "", fmt.Errorf("core: %v has no weights file", kind)
+	return kind.ShortName() + ".weights.json", nil
 }
 
 // SaveTrainedModels writes every trained model to dir using the

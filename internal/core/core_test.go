@@ -18,24 +18,91 @@ func tinySuite(t *testing.T) *Suite {
 	return NewSuite(topology.NewMesh(4, 4), Options{Horizon: 6000, Seed: 3})
 }
 
+// TestKindStrings pins, as literals, every name the model table
+// derives: the paper name (String), the short name (sweep rows and run
+// IDs), the weights-file name, the trained and reactive spec names.
 func TestKindStrings(t *testing.T) {
-	want := map[ModelKind]string{
-		KindBaseline: "Baseline",
-		KindPG:       "PG",
-		KindLEAD:     "DVFS+ML",
-		KindDozzNoC:  "DozzNoC",
-		KindTurbo:    "ML+TURBO",
+	cases := []struct {
+		kind                  ModelKind
+		paper, short, weights string
+		ml                    bool
+		reactive              string
+	}{
+		{KindBaseline, "Baseline", "baseline", "", false, ""},
+		{KindPG, "PG", "pg", "", false, ""},
+		{KindLEAD, "DVFS+ML", "lead", "lead.weights.json", true, "DVFS+ML(reactive)"},
+		{KindDozzNoC, "DozzNoC", "dozznoc", "dozznoc.weights.json", true, "DozzNoC(reactive)"},
+		{KindTurbo, "ML+TURBO", "turbo", "turbo.weights.json", true, "ML+TURBO(reactive)"},
 	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d = %q, want %q", int(k), k.String(), s)
+	s := tinySuite(t)
+	for i, c := range cases {
+		k := c.kind
+		if AllKinds[i] != k {
+			t.Errorf("AllKinds[%d] = %v, want %v", i, AllKinds[i], k)
+		}
+		if k.String() != c.paper || k.ShortName() != c.short || k.IsML() != c.ml {
+			t.Errorf("%d = %q/%q/ml=%v, want %q/%q/ml=%v", int(k), k.String(), k.ShortName(), k.IsML(), c.paper, c.short, c.ml)
+		}
+		name, err := WeightsFileName(k)
+		if name != c.weights || (err == nil) != c.ml {
+			t.Errorf("WeightsFileName(%v) = %q, %v; want %q", k, name, err, c.weights)
+		}
+		if c.ml {
+			s.SetTrainedModel(k, &ml.Ridge{})
+			if got := s.reactiveSpec(k).Name; got != c.reactive {
+				t.Errorf("reactive spec of %v = %q, want %q", k, got, c.reactive)
+			}
+		}
+		sp, err := s.Spec(k)
+		if err != nil || sp.Name != c.paper {
+			t.Errorf("Spec(%v) = %q, %v; want %q", k, sp.Name, err, c.paper)
 		}
 	}
-	if !KindDozzNoC.IsML() || KindPG.IsML() || KindBaseline.IsML() {
-		t.Error("IsML wrong")
+	if !reflect.DeepEqual(MLKinds, []ModelKind{KindLEAD, KindDozzNoC, KindTurbo}) || len(AllKinds) != 5 {
+		t.Errorf("kind lists wrong: %v, %v", AllKinds, MLKinds)
 	}
-	if len(AllKinds) != 5 || len(MLKinds) != 3 {
-		t.Error("kind lists wrong")
+	if got := ModelKind(7).String(); got != "ModelKind(7)" {
+		t.Errorf("invalid kind String = %q", got)
+	}
+	if _, err := s.Spec(ModelKind(7)); err == nil || ModelKind(7).IsML() {
+		t.Error("invalid kind accepted")
+	}
+}
+
+// TestParseKind lists every spelling the command-line tools, sweep specs
+// and the cosim daemon accept, and the kind each one names.
+func TestParseKind(t *testing.T) {
+	cases := map[string]ModelKind{
+		"baseline":    KindBaseline,
+		"Baseline":    KindBaseline,
+		"pg":          KindPG,
+		"PG":          KindPG,
+		"powerpunch":  KindPG,
+		"power-gated": KindPG,
+		"lead":        KindLEAD,
+		"lead-tau":    KindLEAD,
+		"LEAD-tau":    KindLEAD,
+		"dvfs+ml":     KindLEAD,
+		"DVFS+ML":     KindLEAD,
+		"dvfsml":      KindLEAD,
+		"dozznoc":     KindDozzNoC,
+		"DozzNoC":     KindDozzNoC,
+		"turbo":       KindTurbo,
+		"ml+turbo":    KindTurbo,
+		"ML+TURBO":    KindTurbo,
+		"mlturbo":     KindTurbo,
+		"ml-turbo":    KindTurbo,
+	}
+	for name, want := range cases {
+		got, err := ParseKind(name)
+		if err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "mystery", "booksim", "dozz", "turbo ", "ml turbo", "kind0", "ModelKind(0)"} {
+		if k, err := ParseKind(bad); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", bad, k)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -327,30 +328,11 @@ func (c *connState) handle(line []byte) error {
 	return c.fail(req.ID, CodeBadOp, "unknown op %q", req.Op) // unreachable: DecodeFrame validated
 }
 
-// specFor maps a protocol model name to a fresh policy spec. Specs are
-// built per session — stateful selectors (ML+TURBO) must never be shared
-// between engines.
-func specFor(model string, routers int) (policy.Spec, bool) {
-	switch model {
-	case "baseline":
-		return policy.Baseline(), true
-	case "pg":
-		return policy.PowerGated(), true
-	case "lead":
-		return policy.DVFSML(policy.ReactiveSelector{}), true
-	case "dozznoc":
-		return policy.DozzNoC(policy.ReactiveSelector{}), true
-	case "ml-turbo":
-		return policy.MLTurbo(policy.ReactiveSelector{}, routers), true
-	}
-	return policy.Spec{}, false
-}
-
 func (c *connState) openSession(req *Request) error {
 	topo := topology.NewMesh(req.Width, req.Height)
-	spec, ok := specFor(req.Model, topo.NumRouters())
-	if !ok {
-		return c.fail(req.ID, CodeBadModel, "unknown model %q (baseline, pg, lead, dozznoc, ml-turbo)", req.Model)
+	kind, err := core.ParseKind(req.Model)
+	if err != nil {
+		return c.fail(req.ID, CodeBadModel, "%v", err)
 	}
 	if len(c.sessions) >= c.d.opts.MaxSessionsPerConn {
 		return c.fail(req.ID, CodeSessionLimit, "connection already holds %d sessions", len(c.sessions))
@@ -364,9 +346,12 @@ func (c *connState) openSession(req *Request) error {
 	if observer == nil {
 		observer = obs.New()
 	}
+	// ML kinds run on the reactive selector (the daemon loads no
+	// weights). Build makes a fresh spec per session, so a stateful
+	// selector (ML+TURBO) is never shared between engines.
 	sess, err := sim.NewSession(sim.Config{
 		Topo:      topo,
-		Spec:      spec,
+		Spec:      kind.Build(policy.ReactiveSelector{}, topo.NumRouters()),
 		Shards:    req.Shards,
 		LinkTicks: req.LinkTicks,
 		Obs:       observer,

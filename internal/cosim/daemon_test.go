@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -93,10 +95,11 @@ func TestDaemonSessionBitExact(t *testing.T) {
 			}
 
 			topo := topology.NewMesh(width, height)
-			spec, ok := specFor(model, topo.NumRouters())
-			if !ok {
-				t.Fatalf("%s: no spec", name)
+			kind, err := core.ParseKind(model)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			spec := kind.Build(policy.ReactiveSelector{}, topo.NumRouters())
 			// The daemon attaches a per-session observer (prediction-quality
 			// stats in query replies); the direct session must match for the
 			// wire stats to DeepEqual.
@@ -203,7 +206,7 @@ func TestDaemonTransferKeepsPublishedStats(t *testing.T) {
 	const width, height = 4, 4
 	script := transferScript(width*height, 24)
 	for _, shards := range []int{1, 4} {
-		for _, model := range []string{"pg", "dozznoc", "ml-turbo"} {
+		for _, model := range []string{"pg", "dozznoc", "turbo"} {
 			name := fmt.Sprintf("%s/shards=%d", model, shards)
 			d := NewDaemon(Options{})
 			cl := startConn(t, d)
@@ -212,7 +215,11 @@ func TestDaemonTransferKeepsPublishedStats(t *testing.T) {
 				t.Fatalf("%s: open: %v", name, err)
 			}
 			topo := topology.NewMesh(width, height)
-			spec, _ := specFor(model, topo.NumRouters())
+			kind, err := core.ParseKind(model)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			spec := kind.Build(policy.ReactiveSelector{}, topo.NumRouters())
 			direct, err := sim.NewSession(sim.Config{Topo: topo, Spec: spec, Shards: shards, Obs: obs.New()})
 			if err != nil {
 				t.Fatalf("%s: direct session: %v", name, err)

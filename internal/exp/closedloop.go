@@ -52,18 +52,12 @@ func closedLoops(s *core.Suite, params ...mcsim.SystemParams) ([]*ClosedLoopResu
 	var systems []*mcsim.System
 	for _, p := range params {
 		p.Seed += s.Opts.Seed - 1
-		for _, spec := range []policy.Spec{
-			policy.Baseline(),
-			policy.PowerGated(),
-			policy.DVFSML(policy.ReactiveSelector{}),
-			policy.DozzNoC(policy.ReactiveSelector{}),
-			policy.MLTurbo(policy.ReactiveSelector{}, s.Topo.NumRouters()),
-		} {
+		for _, k := range core.AllKinds {
 			w, err := mcsim.New(p)
 			if err != nil {
 				return nil, err
 			}
-			cfg := s.Config(spec, nil)
+			cfg := s.Config(k.Build(policy.ReactiveSelector{}, s.Topo.NumRouters()), nil)
 			cfg.Workload = w
 			cfgs, systems = append(cfgs, cfg), append(systems, w)
 		}

@@ -360,15 +360,6 @@ func (n *Network) QueuedPackets(core int) int {
 	return q
 }
 
-// TotalQueued returns packets waiting across all cores.
-func (n *Network) TotalQueued() int {
-	total := 0
-	for c := range n.inj {
-		total += n.QueuedPackets(c)
-	}
-	return total
-}
-
 // InFlight reports whether any flit is buffered anywhere, riding a link,
 // or queued for injection (used to detect drain completion). Flits only
 // leave the network by ejection, so the injected/delivered flit counters

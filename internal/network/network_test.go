@@ -97,7 +97,7 @@ func TestDeliveryAcrossMesh(t *testing.T) {
 	if total != 35 {
 		t.Fatalf("hop count = %d, want 35 (5 flits x 7 routers)", total)
 	}
-	if !n.InFlight() == false && n.TotalQueued() != 0 {
+	if n.InFlight() {
 		t.Error("network should be drained")
 	}
 }

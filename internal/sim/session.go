@@ -127,9 +127,6 @@ func (s *Session) Schedule(at int64, src, dst int, kind flit.Kind) error {
 	return nil
 }
 
-// Pending returns the number of scheduled injections not yet consumed.
-func (s *Session) Pending() int { return len(s.e.entries) - s.e.cursor }
-
 // Advance processes exactly n base ticks (clamped at MaxTicks),
 // regardless of drain state — an idle fabric still bills static energy,
 // runs epoch boundaries and makes gating/DVFS decisions, which is the
@@ -192,7 +189,7 @@ func (s *Session) Snapshot() SessionStats {
 		PacketsDelivered: e.net.PacketsDelivered(),
 		FlitsDelivered:   e.net.FlitsDelivered(),
 		LatencySumTicks:  e.sumLatency,
-		LatencyCount:     e.nLatency,
+		LatencyCount:     int64(len(e.latencies)),
 		StaticJ:          total.StaticJoules(),
 		DynamicJ:         total.DynamicJoules(),
 	}

@@ -545,7 +545,6 @@ type engine struct {
 
 	latencies  []int64
 	sumLatency int64
-	nLatency   int64
 
 	ffTicks          int64 // ticks covered by quiescent-window skips
 	horizonTicks     int64 // ticks covered by non-quiescent horizon skips
@@ -725,7 +724,6 @@ func (v netView) Secured(r int) bool      { return v.n.Secured(r) }
 // on the engine goroutine (Commit delivers after the worker barrier).
 func (e *engine) PacketDelivered(p *flit.Packet, core int, now int64) {
 	e.sumLatency += p.Latency()
-	e.nLatency++
 	e.latencies = append(e.latencies, p.Latency())
 	if e.obsM != nil {
 		e.obsM.PacketLatency(p.Latency())
@@ -1432,8 +1430,8 @@ func (e *engine) result(ticks int64, drained bool) *Result {
 		Policy:                 f.Policy,
 		Dataset:                e.dataset,
 	}
-	if e.nLatency > 0 {
-		res.AvgLatencyTicks = float64(e.sumLatency) / float64(e.nLatency)
+	if n := len(e.latencies); n > 0 {
+		res.AvgLatencyTicks = float64(e.sumLatency) / float64(n)
 		res.AvgLatencyNS = res.AvgLatencyTicks * timing.TickSeconds * 1e9
 	}
 	res.Latency = stats.Summarize(e.latencies)

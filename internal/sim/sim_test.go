@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -66,23 +67,60 @@ func TestBaselineAlwaysM7(t *testing.T) {
 	}
 }
 
+// TestAllModelsConserveAndDrain runs the five models to drain on a mesh
+// and a cmesh, on the fast and the reference engine, with and without
+// wire latency, and checks the end-of-run conservation laws: every
+// packet delivered, every router billed exactly once per base tick
+// (residency summed over states equals the run's ticks), and the billed
+// hops equal Σ flits × (XY hops + 1) over the trace.
 func TestAllModelsConserveAndDrain(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	tr := smallTrace(t, topo, "fft", 8000)
-	specs := []policy.Spec{
-		policy.Baseline(),
-		policy.PowerGated(),
-		policy.DVFSML(policy.ReactiveSelector{}),
-		policy.DozzNoC(policy.ReactiveSelector{}),
-		policy.MLTurbo(policy.ReactiveSelector{}, topo.NumRouters()),
-	}
-	for _, spec := range specs {
-		res := run(t, Config{Topo: topo, Spec: spec, Trace: tr})
-		if !res.Drained {
-			t.Fatalf("%s failed to drain", spec.Name)
+	for _, topo := range []topology.Topology{topology.NewMesh(4, 4), topology.NewCMesh(4, 4)} {
+		tr := smallTrace(t, topo, "fft", 8000)
+		var wantHops int64
+		for _, en := range tr.Entries {
+			wantHops += int64(en.Kind.Flits()) * int64(topology.Hops(topo, en.Src, en.Dst)+1)
 		}
-		if res.PacketsDelivered != res.PacketsInjected {
-			t.Fatalf("%s lost packets: %d/%d", spec.Name, res.PacketsDelivered, res.PacketsInjected)
+		for _, reference := range []bool{false, true} {
+			for _, linkTicks := range []int64{0, 2} {
+				// Fresh specs per run: ML+TURBO's selector is stateful.
+				specs := []policy.Spec{
+					policy.Baseline(),
+					policy.PowerGated(),
+					policy.DVFSML(policy.ReactiveSelector{}),
+					policy.DozzNoC(policy.ReactiveSelector{}),
+					policy.MLTurbo(policy.ReactiveSelector{}, topo.NumRouters()),
+				}
+				for _, spec := range specs {
+					name := fmt.Sprintf("%s/%s/reference=%v/link=%d", topo.Name(), spec.Name, reference, linkTicks)
+					e, err := newEngine(Config{Topo: topo, Spec: spec, Trace: tr, Reference: reference, LinkTicks: linkTicks})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					e.stepUntil(e.cfg.MaxTicks, true)
+					e.finish()
+					e.stopWorkers()
+					if !e.drained {
+						t.Errorf("%s failed to drain", name)
+					}
+					if got, want := e.net.PacketsDelivered(), e.net.PacketsInjected(); got != want || want != int64(len(tr.Entries)) {
+						t.Errorf("%s delivered %d of %d injected, trace has %d", name, got, want, len(tr.Entries))
+					}
+					var hops int64
+					for r := range e.meter {
+						var ticks int64
+						for _, n := range e.meter[r].Residency() {
+							ticks += n
+						}
+						if ticks != e.tick {
+							t.Errorf("%s: router %d billed %d residency ticks in a %d-tick run", name, r, ticks, e.tick)
+						}
+						hops += e.meter[r].Hops()
+					}
+					if hops != wantHops {
+						t.Errorf("%s billed %d hops, want %d", name, hops, wantHops)
+					}
+				}
+			}
 		}
 	}
 }

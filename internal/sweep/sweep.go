@@ -34,8 +34,8 @@ type Spec struct {
 	// Topos lists topologies in cli.ParseTopo syntax (mesh<W>x<H>,
 	// cmesh4x4). Default: mesh8x8.
 	Topos []string `json:"topos,omitempty"`
-	// Models lists power-management models in cli.ParseKind syntax.
-	// Default: all five (baseline, pg, lead, dozznoc, turbo).
+	// Models lists power-management models in core.ParseKind syntax.
+	// Default: all five models, by short name.
 	Models []string `json:"models,omitempty"`
 	// Benches lists benchmark profiles. Default: the test-split
 	// benchmarks (the paper's evaluation set).
@@ -80,7 +80,7 @@ type Run struct {
 	ID         string
 	Topo       string
 	Bench      string
-	Model      string // canonical short name: baseline, pg, lead, dozznoc, turbo
+	Model      string // Kind.ShortName()
 	Kind       core.ModelKind
 	Seed       int64
 	EpochTicks int64
@@ -100,23 +100,6 @@ func (r *Run) LambdaGrid() ([]float64, error) {
 		return nil, fmt.Errorf("sweep: run %s: bad lambda: %w", r.ID, err)
 	}
 	return []float64{v}, nil
-}
-
-// canonicalModel maps a ModelKind to the short name used in run IDs.
-func canonicalModel(k core.ModelKind) string {
-	switch k {
-	case core.KindBaseline:
-		return "baseline"
-	case core.KindPG:
-		return "pg"
-	case core.KindLEAD:
-		return "lead"
-	case core.KindDozzNoC:
-		return "dozznoc"
-	case core.KindTurbo:
-		return "turbo"
-	}
-	return fmt.Sprintf("kind%d", int(k))
 }
 
 // formatLambda renders a lambda axis value for IDs and rows.
@@ -152,7 +135,7 @@ func (s *Spec) withDefaults() Spec {
 		d.Topos = []string{"mesh8x8"}
 	}
 	if len(d.Models) == 0 {
-		d.Models = []string{"baseline", "pg", "lead", "dozznoc", "turbo"}
+		d.Models = core.ShortNames(core.AllKinds)
 	}
 	if len(d.Benches) == 0 {
 		for _, p := range traffic.ProfilesBySplit(traffic.Test) {
@@ -194,7 +177,7 @@ func (s *Spec) Expand() ([]Run, error) {
 	}
 	kinds := make([]core.ModelKind, len(d.Models))
 	for i, m := range d.Models {
-		k, err := cli.ParseKind(m)
+		k, err := core.ParseKind(m)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
@@ -240,7 +223,7 @@ func (s *Spec) Expand() ([]Run, error) {
 										Index:      len(runs),
 										Topo:       topo,
 										Bench:      bench,
-										Model:      canonicalModel(kind),
+										Model:      kind.ShortName(),
 										Kind:       kind,
 										Seed:       seed,
 										EpochTicks: ep,

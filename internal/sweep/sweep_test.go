@@ -68,6 +68,11 @@ func TestSweepExpand(t *testing.T) {
 	if len(all) != 5*5 { // 5 test-split benches x 5 models
 		t.Errorf("default matrix has %d runs, want 25", len(all))
 	}
+	// Any accepted spelling names a run by the kind's short name.
+	aliased, err := (&Spec{Models: []string{"Power-Gated", "ml-turbo"}, Benches: []string{"fft"}}).Expand()
+	if err != nil || len(aliased) != 2 || aliased[0].Model != "pg" || aliased[1].ID != "mesh8x8/fft/turbo/seed1/ep500/c1/ph-1/ltuned" {
+		t.Errorf("aliased models expanded to %+v, %v", aliased, err)
+	}
 
 	for _, bad := range []*Spec{
 		{Benches: []string{"nosuch"}},
@@ -76,7 +81,8 @@ func TestSweepExpand(t *testing.T) {
 		{Compress: []int64{0}},
 		{EpochTicks: []int64{0}},
 		{EpochTicks: []int64{-500}},
-		{Seeds: []int64{1, 1}}, // duplicate axis value -> duplicate run ID
+		{Seeds: []int64{1, 1}},                  // duplicate axis value -> duplicate run ID
+		{Models: []string{"turbo", "ML+TURBO"}}, // one kind under two spellings
 	} {
 		if _, err := bad.Expand(); err == nil {
 			t.Errorf("spec %+v accepted", bad)
